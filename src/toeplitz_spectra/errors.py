@@ -56,6 +56,19 @@ class ExcludedLambda(ToeplitzSpectraError):
     """Spectral parameter falls in a region excluded by the hypotheses."""
 
 
+class MissedRoots(ToeplitzSpectraError):
+    """A root scan found fewer roots than the eigenvalues it must reproduce.
+
+    ``expected`` counts the eigenvalues the scan had to find, ``found`` the
+    roots it returned.
+    """
+
+    def __init__(self, message, expected=None, found=None):
+        super().__init__(message)
+        self.expected = expected
+        self.found = found
+
+
 class NotPositiveDefinite(ToeplitzSpectraError):
     """Autocovariance sequence is not positive definite (|kappa| >= 1)."""
 

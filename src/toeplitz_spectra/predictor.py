@@ -171,18 +171,19 @@ def g_inverse_coeffs(factor, count: int) -> np.ndarray:
     """Series coefficients of 1/g for the analytic factor with h = g conj(g).
 
     Built from a spectral factorization of a positive symbol: g collects the
-    square root of the scale and one factor (1 - a chi) per inside root.
+    square root of the scale and the factors (1 - w chi) of g1, whose w are
+    the conjugates of the Laurent polynomial's inside roots.
     """
     from .symbol_core import partial_fractions
     import math as _math
     if factor.scale <= 0:
         raise ValueError("analytic factor needs a positive scale")
     root_scale = np.sqrt(factor.scale)
-    if not factor.g2_factors:
+    if not factor.g1_factors:
         out = np.zeros(count, dtype=complex)
         out[0] = 1.0 / root_scale
         return out
-    pf = partial_fractions(factor.g2_factors)
+    pf = partial_fractions(factor.g1_factors)
     u = np.arange(count)
     out = np.zeros(count, dtype=complex)
     for a, hh, c in pf:

@@ -12,13 +12,20 @@ matrix on the simple-pole basis has the closed form
 with A the simple partial-fraction weights and Q_m the products skipping one
 factor.  lambda belongs to the spectrum of the order-N section exactly when
 det(I - M(lambda)) = 0, which is located here by phase-normalized sign scans.
+
+Every search is batched over its parameters: the antecedent roots x_j of
+all sampled lambda are the eigenvalues of one stack of companion matrices,
+the determinant is evaluated for the whole stack at once, and all
+bisections (derivative zeros, branch antecedents, determinant sign changes)
+run through one vectorised fixed-count helper.  A determinant scan that
+finds fewer roots than the section has eigenvalues in its window raises
+MissedRoots.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,16 +35,18 @@ from .errors import (
     EigenFailure,
     ExcludedLambda,
     LocalizationFailure,
+    MissedRoots,
     NonUniqueMinimum,
     NotHermitian,
 )
-from .predictor import PredictorPoly, levinson
-from .symbol_core import TrigSymbol, aberth_roots
+from .symbol_core import TrigSymbol
 from .toeplitz_core import DenseMatrix, build
 
 log = logging.getLogger("toeplitz_spectra")
 
 CRIT_TOL = 1e-6
+# a root scan need not find eigenvalues this close to its window's edges
+ROOT_MARGIN = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +93,28 @@ def hermitian_eigen(M: DenseMatrix, want_vectors: bool = False
     return EigenDecomposition(eigenvalues=lam, eigenvectors=V)
 
 
+def _bisect(g: Callable[[np.ndarray], np.ndarray], lo, hi, steps: int
+            ) -> np.ndarray:
+    """Fixed-count bisection of many brackets [lo, hi] at once.
+
+    ``g`` maps the array of midpoints to an array of the same shape: where
+    it is positive a bracket keeps its upper half, where it is zero or
+    negative its lower half, and where it is NaN (the bisected function is
+    undefined there) the bracket stays as it is.  Returns the midpoints of
+    the final brackets.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    if not lo.size:
+        return lo
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        s = g(mid)
+        lo = np.where(s > 0, mid, lo)
+        hi = np.where(s <= 0, mid, hi)
+    return 0.5 * (lo + hi)
+
+
 # ---------------------------------------------------------------------------
 # monotone branches and grid localization
 # ---------------------------------------------------------------------------
@@ -103,51 +134,24 @@ class GridLocation:
     eigenvalue: float = 0.0
 
 
-def _refine_derivative_zero(sym: TrigSymbol, a: float, b: float) -> float:
-    fa = sym.derivative(a)
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        fm = sym.derivative(m)
-        if fa * fm <= 0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
 def monotone_branches(sym: TrigSymbol, n_grid: int = 8193):
     """Maximal monotone pieces (a, b, f(a), f(b)) of the symbol on [0, pi]."""
     theta = np.linspace(0.0, np.pi, n_grid)
     df = sym.derivative(theta)
-    cuts = [0.0]
-    for i in range(n_grid - 1):
-        if df[i] == 0.0 and 0 < i:
-            cuts.append(theta[i])
-        elif df[i] * df[i + 1] < 0:
-            cuts.append(_refine_derivative_zero(sym, theta[i], theta[i + 1]))
-    cuts.append(np.pi)
-    cuts = sorted(set(cuts))
+    flat = (df[:-1] == 0.0) & (np.arange(n_grid - 1) > 0)
+    change = df[:-1] * df[1:] < 0
+    # a derivative zero keeps the half whose left end has the left sign
+    sign = np.sign(df[:-1][change])
+    zeros = _bisect(lambda m: sign * sym.derivative(m),
+                    theta[:-1][change], theta[1:][change], 80)
+    cuts = sorted({0.0, np.pi, *theta[:-1][flat].tolist(), *zeros.tolist()})
     merged = [cuts[0]]
     for c in cuts[1:]:
         if c - merged[-1] > 1e-9:
             merged.append(c)
-    out = []
-    for a, b in zip(merged[:-1], merged[1:]):
-        out.append((a, b, float(sym(a)), float(sym(b))))
-    return out
-
-
-def _bisect_on_branch(sym: TrigSymbol, a: float, b: float, fa: float,
-                      fb: float, lam: float) -> float:
-    inc = fb >= fa
-    for _ in range(90):
-        m = 0.5 * (a + b)
-        fm = float(sym(m))
-        if (fm < lam) == inc:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+    vals = sym(np.array(merged)).tolist()
+    return [(a, b, fa, fb) for a, b, fa, fb
+            in zip(merged[:-1], merged[1:], vals[:-1], vals[1:])]
 
 
 def grid_localize(sym: TrigSymbol, N: int, eig: EigenDecomposition
@@ -170,44 +174,45 @@ def grid_localize(sym: TrigSymbol, N: int, eig: EigenDecomposition
     fmax = max(max(fa, fb) for _, _, fa, fb in branches)
     span = max(fmax - fmin, 1e-300)
     grid_step = np.pi / (N + 2)
-    candidates = []          # per eigenvalue: list of (cost, slot, data)
-    slot_index = {}
-    for j, lam in enumerate(lams):
-        lam_c = float(np.clip(lam, fmin, fmax))
-        if abs(lam_c - lam) > 1e-9 * span:
-            raise LocalizationFailure(
-                f"eigenvalue {lam} outside the symbol range "
-                f"[{fmin}, {fmax}]")
-        row = []
-        for bi, (a, b, fa, fb) in enumerate(branches):
-            lo, hi = min(fa, fb), max(fa, fb)
-            if lam_c < lo - 1e-12 * span or lam_c > hi + 1e-12 * span:
-                continue
-            theta_star = _bisect_on_branch(
-                sym, a, b, fa, fb, float(np.clip(lam_c, lo, hi)))
-            k0 = int(round(theta_star / grid_step))
-            for k in (k0 - 1, k0, k0 + 1):
-                if 0 <= k <= N + 1:
-                    dist = abs(theta_star - k * grid_step)
-                    slot = (bi, k)
-                    if slot not in slot_index:
-                        slot_index[slot] = len(slot_index)
-                    row.append((dist, slot, theta_star))
-        if not row:
-            raise LocalizationFailure(
-                f"eigenvalue {lam} has no antecedent on any branch")
-        candidates.append(row)
-    n_eig, n_slot = len(lams), len(slot_index)
+    lam_c = np.clip(lams, fmin, fmax)
+    outside = np.flatnonzero(np.abs(lam_c - lams) > 1e-9 * span)
+    if outside.size:
+        raise LocalizationFailure(
+            f"eigenvalue {lams[outside[0]]} outside the symbol range "
+            f"[{fmin}, {fmax}]")
+    # theta[j, b]: antecedent of eigenvalue j on branch b (NaN: none there)
+    theta = np.full((lams.size, len(branches)), np.nan)
+    for bi, (a, b, fa, fb) in enumerate(branches):
+        lo, hi = min(fa, fb), max(fa, fb)
+        on = (lam_c >= lo - 1e-12 * span) & (lam_c <= hi + 1e-12 * span)
+        target = np.clip(lam_c[on], lo, hi)
+        inc = fb >= fa
+        theta[on, bi] = _bisect(lambda m: (sym(m) < target) == inc,
+                                np.full(target.size, a),
+                                np.full(target.size, b), 90)
+    orphan = np.flatnonzero(np.isnan(theta).all(axis=1))
+    if orphan.size:
+        raise LocalizationFailure(
+            f"eigenvalue {lams[orphan[0]]} has no antecedent on any branch")
+    # candidate slots (branch, k) for k next to each antecedent, listed in
+    # eigenvalue-major, branch, k order; slots are numbered by first
+    # appearance in that order, which fixes how the assignment breaks ties
+    jj, bb = np.nonzero(~np.isnan(theta))
+    k0 = np.rint(theta[jj, bb] / grid_step).astype(int)
+    J, B = np.repeat(jj, 3), np.repeat(bb, 3)
+    K = (k0[:, None] + np.arange(-1, 2)).ravel()
+    keep = (K >= 0) & (K <= N + 1)
+    J, B, K = J[keep], B[keep], K[keep]
+    T = theta[J, B]
+    _, first, inverse = np.unique(B * (N + 2) + K, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    head = first[order]              # candidate that first names each slot
+    slot = np.argsort(order)[inverse]
+    n_eig = lams.size
     BIG = 1e9
-    cost = np.full((n_eig, max(n_slot, n_eig)), BIG)
-    meta = {}
-    for j, row in enumerate(candidates):
-        for dist, slot, theta_star in row:
-            si = slot_index[slot]
-            c = (dist / grid_step) ** 2
-            if c < cost[j, si]:
-                cost[j, si] = c
-                meta[(j, si)] = (slot, theta_star)
+    cost = np.full((n_eig, max(head.size, n_eig)), BIG)
+    cost[J, slot] = (np.abs(T - K * grid_step) / grid_step) ** 2
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     out = [None] * n_eig
     for j, si in zip(rows, cols):
@@ -215,10 +220,11 @@ def grid_localize(sym: TrigSymbol, N: int, eig: EigenDecomposition
             raise LocalizationFailure(
                 f"no injective grid assignment for eigenvalue "
                 f"{lams[j]} (slot exhaustion)")
-        (bi, k), theta_star = meta[(j, si)]
+        bi, k = int(B[head[si]]), int(K[head[si]])
+        theta_star = float(theta[j, bi])
         shift = (theta_star - k * grid_step) * N / np.pi
         out[j] = GridLocation(k=k, theta_shift=float(shift),
-                              theta_star=float(theta_star), branch=bi,
+                              theta_star=theta_star, branch=bi,
                               eigenvalue=float(lams[j]))
     return out
 
@@ -233,15 +239,12 @@ class EigenCharacterization:
 
     ``antecedent_roots`` holds the partners chi_j with chi + 1/chi = 2 x_j
     and |chi_j| >= 1 (unimodular exactly when the antecedent is real in
-    (-1, 1)); ``r`` counts them; ``h_lambda`` is the constant positive factor
-    and ``predictor_ref`` its (constant) predictor.
+    (-1, 1)); ``r`` counts them.
     """
 
     lam: float
     antecedent_roots: tuple
     r: int
-    h_lambda: TrigSymbol
-    predictor_ref: PredictorPoly
     hankel_matrix: np.ndarray
 
     @property
@@ -249,70 +252,78 @@ class EigenCharacterization:
         return np.array([1.0 / chi for chi in self.antecedent_roots])
 
 
-def _antecedent_partners(sym: TrigSymbol, lam: float, *, seed: int = 0,
+def _x_polynomial(sym: TrigSymbol) -> np.ndarray:
+    """Ascending power-series coefficients of f as a polynomial in x = cos."""
+    if not sym.parity or sym.degree == 0:
+        raise ValueError(
+            "the characteristic pipeline needs a non-constant even symbol")
+    return np.polynomial.chebyshev.cheb2poly(sym.cosine_coeffs())
+
+
+def _antecedent_partners(px: np.ndarray, lams, *,
                          boundary_tol: float = 1e-10):
-    """Partners omega_j (|omega| <= 1) of the roots of f(x) - lam, x = cos."""
-    cos_c = sym.cosine_coeffs()
-    px = np.polynomial.chebyshev.cheb2poly(cos_c).astype(complex)
-    px[0] -= lam
-    xroots = aberth_roots(px, seed=seed)
-    omegas = []
-    for x in xroots:
-        if abs(x.imag) < 1e-11 and abs(x.real) <= 1.0 - 1e-11:
-            th = math.acos(float(x.real))
-            omegas.append(complex(math.cos(th), -math.sin(th)))
-        else:
-            disc = np.sqrt(np.asarray(x * x - 1.0, dtype=complex))
-            w1, w2 = x + disc, x - disc
-            w = w1 if abs(w1) < abs(w2) else w2
-            if abs(abs(w) - 1.0) < boundary_tol:
-                raise ExcludedLambda(
-                    f"antecedent partner {w} on the unit circle at "
-                    f"lambda={lam}")
-            omegas.append(complex(w))
-    om = np.array(omegas)
-    prod = np.abs(np.multiply.outer(om, om) - 1.0)
-    if np.min(prod) < 1e-8:
-        raise ExcludedLambda(
-            f"partner product within 1e-8 of 1 at lambda={lam}")
-    return om
+    """Partners omega (|omega| <= 1) of the roots of f(x) - lam, x = cos.
+
+    ``px`` is f as a polynomial in x (``_x_polynomial``).  For S values
+    ``lams`` returns the (S, d) partners and a length-S mask of
+    the values excluded by the hypotheses: a partner of a root off (-1, 1)
+    within ``boundary_tol`` of the unit circle, or a partner product within
+    1e-8 of 1.  The roots are the eigenvalues of the companion matrices of
+    f(x) - lam (as in ``np.roots``), one stacked matrix per value.
+    """
+    lams = np.asarray(lams, dtype=float)
+    d = px.size - 1
+    comp = np.zeros((lams.size, d, d))
+    comp[:, 0, :] = -px[-2::-1] / px[-1]
+    comp[:, 0, d - 1] = -(px[0] - lams) / px[-1]
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    x = np.linalg.eigvals(comp).astype(complex)
+    real_in = (np.abs(x.imag) < 1e-11) & (np.abs(x.real) <= 1.0 - 1e-11)
+    th = np.arccos(np.clip(x.real, -1.0, 1.0))
+    disc = np.sqrt(x * x - 1.0)
+    w1, w2 = x + disc, x - disc
+    w = np.where(np.abs(w1) < np.abs(w2), w1, w2)
+    om = np.where(real_in, np.cos(th) - 1j * np.sin(th), w)
+    on_circle = ~real_in & (np.abs(np.abs(w) - 1.0) < boundary_tol)
+    prod = np.abs(om[:, :, None] * om[:, None, :] - 1.0)
+    excluded = on_circle.any(axis=1) | (prod.min(axis=(1, 2)) < 1e-8)
+    return om, excluded
 
 
 def characteristic_matrix_from_omegas(omegas: np.ndarray, N: int,
                                       R: float = 1.0) -> np.ndarray:
-    """Closed-form r x r matrix of the composed Hankel maps at parameter R."""
+    """Closed-form r x r matrix of the composed Hankel maps at parameter R.
+
+    ``omegas`` has shape (..., r); leading axes are batch axes and the
+    result has shape (..., r, r).
+    """
     om = R * np.asarray(omegas, dtype=complex)
-    r = om.size
-    if r == 0:
-        return np.zeros((0, 0), dtype=complex)
-    diff = 1.0 - np.divide.outer(om, om).T     # [h, n] = 1 - om_n / om_h
-    np.fill_diagonal(diff, 1.0)
-    A = 1.0 / np.prod(diff, axis=1)
-    Qz = np.empty((r, r), dtype=complex)       # Q_m(om_i)
-    for m in range(r):
-        fac = 1.0 - np.multiply.outer(np.delete(om, m), om)
-        Qz[m] = np.prod(fac, axis=0)
+    eye = np.eye(om.shape[-1], dtype=bool)
+    # [h, n] = 1 - om_n / om_h, 1 on the diagonal
+    diff = np.where(eye, 1.0, 1.0 - om[..., None, :] / om[..., :, None])
+    A = 1.0 / np.prod(diff, axis=-1)
+    # [m, n, i] = 1 - om_n om_i, 1 where n == m; Qz[m, i] = Q_m(om_i)
+    fac = np.where(eye[:, :, None], 1.0,
+                   1.0 - om[..., None, :, None] * om[..., None, None, :])
+    Qz = np.prod(fac, axis=-2)
     pw = om ** (N + 2)
-    V = (A * pw)[:, None] * Qz.T               # V[i, h] = A_i w_i^{N+2} Q_h(w_i)
+    # V[i, h] = A_i w_i^{N+2} Q_h(w_i)
+    V = (A * pw)[..., :, None] * np.swapaxes(Qz, -1, -2)
     return V @ V
 
 
-def characterize(sym: TrigSymbol, lam: float, N: int, *, R: float = 1.0,
-                 seed: int = 0) -> EigenCharacterization:
+def characterize(sym: TrigSymbol, lam: float, N: int, *, R: float = 1.0
+                 ) -> EigenCharacterization:
     """Full antecedent/Hankel data of f - lambda at one spectral parameter."""
-    if not sym.parity:
-        raise ValueError("the characteristic pipeline needs an even symbol")
-    om = _antecedent_partners(sym, lam, seed=seed)
-    cos_c = sym.cosine_coeffs()
-    d = sym.degree
-    lead = abs(cos_c[d] * 2.0 ** (d - 1)) if d >= 1 else abs(cos_c[0])
-    h_lambda = TrigSymbol.constant(lead)
-    pred = levinson(h_lambda, 0)
-    chis = tuple(complex(1.0 / w) for w in om)
-    H = characteristic_matrix_from_omegas(om, N, R)
+    om, excluded = _antecedent_partners(_x_polynomial(sym), [lam])
+    if excluded[0]:
+        raise ExcludedLambda(
+            f"antecedent partner on the unit circle or partner product "
+            f"within 1e-8 of 1 at lambda={lam}")
+    chis = tuple(complex(1.0 / w) for w in om[0])
+    H = characteristic_matrix_from_omegas(om[0], N, R)
     return EigenCharacterization(lam=float(lam), antecedent_roots=chis,
-                                 r=len(chis), h_lambda=h_lambda,
-                                 predictor_ref=pred, hankel_matrix=H)
+                                 r=len(chis), hankel_matrix=H)
 
 
 def characteristic_matrix(chr: EigenCharacterization, N: int,
@@ -331,7 +342,7 @@ class DetRootsResult:
 
 
 def _critical_values(sym: TrigSymbol) -> list[float]:
-    vals = [float(sym(0.0)), float(sym(np.pi))]
+    vals = sym(np.array([0.0, np.pi])).tolist()
     for a, b, fa, fb in monotone_branches(sym):
         vals.extend([fa, fb])
     out = []
@@ -341,94 +352,95 @@ def _critical_values(sym: TrigSymbol) -> list[float]:
     return out
 
 
-def _det_normalized(sym: TrigSymbol, lam: float, N: int, seed: int = 0):
-    om = _antecedent_partners(sym, lam, seed=seed)
-    M = characteristic_matrix_from_omegas(om, N)
-    D = complex(np.linalg.det(np.eye(om.size) - M))
-    uni = om[np.abs(np.abs(om) - 1.0) < 1e-9]
-    n_uni = uni.size
-    phase = np.prod((uni / np.abs(uni)) ** (-(N + 2))) if n_uni else 1.0 + 0j
-    return D * phase / (1j ** n_uni), D, n_uni
+def _det_normalized(px: np.ndarray, lams: np.ndarray, N: int):
+    """Phase-normalized det(I - M(lambda)), the determinant, and the count of
+    unimodular partners, per lambda; both determinants are NaN where lambda
+    is excluded."""
+    om, excluded = _antecedent_partners(px, lams)
+    ok = ~excluded
+    D = np.full(lams.size, np.nan, dtype=complex)
+    D[ok] = np.linalg.det(np.eye(om.shape[1])
+                          - characteristic_matrix_from_omegas(om[ok], N))
+    uni = np.abs(np.abs(om) - 1.0) < 1e-9
+    n_uni = uni.sum(axis=1)
+    phase = np.prod(np.where(uni, (om / np.abs(om)) ** (-(N + 2)), 1.0),
+                    axis=1)
+    return D * phase / 1j ** n_uni, D, n_uni
 
 
 def det_equation_roots(sym: TrigSymbol, N: int,
                        lambda_window: tuple[float, float],
-                       n_samples: int = 2000, *, seed: int = 0,
+                       n_samples: int = 2000, *,
                        crit_tol: float = CRIT_TOL,
                        resid_tol: float = 1e-6) -> DetRootsResult:
     """All roots of det(I - M(lambda)) = 0 in a window of spectral parameters.
 
-    The window is sampled, guard bands of width ``crit_tol`` around critical
-    values of the symbol are skipped (reported in the result), and sign
-    changes of the phase-normalized real part are bisected.  Refined roots
-    must pass a determinant-residual test; their normalized imaginary part is
-    asserted below 1e-8.
+    The window is sampled and the determinant evaluated at all samples in
+    one batch, the antecedent roots of every sample coming from one stack
+    of companion-matrix eigenvalue problems.  Guard bands of width
+    ``crit_tol`` around critical values of the symbol are skipped (reported
+    in the result), and all sign changes of the phase-normalized real part
+    are bisected together.  Refined roots must pass a determinant-residual
+    test; their normalized imaginary part is asserted below 1e-8.  The root
+    count is certified against the eigenvalues of the order-N section that
+    lie inside the window by more than 1e-5 and outside every guard window
+    widened by one sample step: fewer roots than those raise MissedRoots
+    (a sign scan cannot see two roots in one sample interval, nor a root
+    where the normalized determinant is nearly imaginary).
     """
+    if n_samples < 2:
+        raise ValueError("a determinant scan needs at least two samples")
     lo, hi = lambda_window
-    crit = _critical_values(sym)
-
-    def in_guard(lam):
-        return any(abs(lam - c) < crit_tol for c in crit)
-
+    px = _x_polynomial(sym)
     lams = np.linspace(lo, hi, n_samples)
-    samples = []
-    excluded = []
-    for lam in lams:
-        if in_guard(lam):
-            excluded.append(float(lam))
-            samples.append(None)
-            continue
-        try:
-            Dn, D, n_uni = _det_normalized(sym, float(lam), N, seed)
-        except ExcludedLambda:
-            excluded.append(float(lam))
-            samples.append(None)
-            continue
-        samples.append((float(lam), Dn, n_uni))
-    scale = max((abs(s[1]) for s in samples if s is not None), default=1.0)
+    crit = np.array(_critical_values(sym))
+    guard = np.any(np.abs(lams[:, None] - crit) < crit_tol, axis=1)
+    Dn = np.full(n_samples, np.nan, dtype=complex)
+    n_uni = np.zeros(n_samples, dtype=int)
+    Dn[~guard], _, n_uni[~guard] = _det_normalized(px, lams[~guard], N)
+    ok = ~np.isnan(Dn)
+    scale = float(np.max(np.abs(Dn[ok]))) if ok.any() else 1.0
+    re = Dn.real
+    ra = np.where(re[:-1] == 0.0, 1e-300, re[:-1])
+    brackets = np.flatnonzero(ok[:-1] & ok[1:] & (n_uni[:-1] == n_uni[1:])
+                              & (ra * re[1:] < 0))
+    # a bracket keeps the half whose left end has its left sample's sign; a
+    # midpoint where lambda is excluded (NaN) freezes its bracket
+    sign = np.sign(ra[brackets])
+    mids = _bisect(lambda m: sign * _det_normalized(px, m, N)[0].real,
+                   lams[brackets], lams[brackets + 1], 80)
+    Dn_mids, D_mids, _ = _det_normalized(px, mids, N)
     roots = []
-    for i in range(len(samples) - 1):
-        a, b = samples[i], samples[i + 1]
-        if a is None or b is None or a[2] != b[2]:
+    for lam_root, Dn_r, D_r in zip(mids.tolist(), Dn_mids, D_mids):
+        if np.isnan(D_r):
             continue
-        ra, rb = a[1].real, b[1].real
-        if ra == 0.0:
-            ra = 1e-300
-        if ra * rb >= 0:
-            continue
-        la, lb = a[0], b[0]
-        fa = ra
-        for _ in range(80):
-            lm = 0.5 * (la + lb)
-            try:
-                fm = _det_normalized(sym, lm, N, seed)[0].real
-            except ExcludedLambda:
-                break
-            if fa * fm <= 0:
-                lb = lm
-            else:
-                la, fa = lm, fm
-        lam_root = 0.5 * (la + lb)
-        try:
-            Dn, D, _ = _det_normalized(sym, lam_root, N, seed)
-        except ExcludedLambda:
-            continue
-        if abs(D) > resid_tol * scale:
+        if abs(D_r) > resid_tol * scale:
             log.debug("rejecting pseudo-crossing at lambda=%.8f |D|=%.2e",
-                      lam_root, abs(D))
+                      lam_root, abs(D_r))
             continue
-        if abs(Dn.imag) > 1e-8 * max(1.0, scale):
+        if abs(Dn_r.imag) > 1e-8 * max(1.0, scale):
             raise ExcludedLambda(
                 f"normalized determinant not real at root {lam_root}: "
-                f"imag {Dn.imag:.2e}")
+                f"imag {Dn_r.imag:.2e}")
         if not roots or abs(lam_root - roots[-1]) > 1e-9 * max(1.0, abs(hi)):
-            roots.append(float(lam_root))
+            roots.append(lam_root)
     excl_windows = []
-    for lam in excluded:
+    for lam in lams[~ok].tolist():
         if excl_windows and lam - excl_windows[-1][1] < 2 * (hi - lo) / n_samples:
             excl_windows[-1] = (excl_windows[-1][0], lam)
         else:
             excl_windows.append((lam, lam))
+    eig = hermitian_eigen(build(sym, N).dense()).eigenvalues
+    step = (hi - lo) / (n_samples - 1)
+    want = (eig > lo + ROOT_MARGIN) & (eig < hi - ROOT_MARGIN)
+    for a, b in excl_windows:
+        want &= (eig < a - step) | (eig > b + step)
+    expected = int(np.count_nonzero(want))
+    if len(roots) < expected:
+        raise MissedRoots(
+            f"{len(roots)} determinant roots for {expected} eigenvalues of "
+            f"the order-{N} section in the window ({lo}, {hi})",
+            expected=expected, found=len(roots))
     return DetRootsResult(roots=tuple(roots), excluded=tuple(excl_windows))
 
 

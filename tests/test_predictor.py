@@ -141,3 +141,12 @@ class TestGInverseCoeffs:
         b = g_inverse_coeffs(fac, 40)
         rep = lemma1_rate(sym, b, [24])
         assert rep.errors[0] < 1e-10
+
+    def test_limit_complex_roots(self):
+        # a symbol that is not even: 1/g is not its own conjugate series
+        a = [0.5, -0.3, 0.4 * np.exp(1j)]
+        sym = symbol_from_inside_roots(a, 2.7)
+        b = g_inverse_coeffs(wiener_hopf_factor(sym), 100)
+        P = levinson(sym, 200)
+        limit = np.conj(b[0]) * b / abs(b[0])
+        assert np.max(np.abs(P.beta[:100] - limit)) < 1e-12

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from toeplitz_spectra.errors import (
     ExcludedLambda,
     LocalizationFailure,
+    MissedRoots,
     NonUniqueMinimum,
     NotHermitian,
 )
@@ -18,6 +20,7 @@ from toeplitz_spectra.spectra import (
     min_eigen_sweep,
     monotone_branches,
     weyl_gap,
+    _unique_minimizer,
 )
 from toeplitz_spectra.symbol_core import TrigSymbol, aberth_roots
 from toeplitz_spectra.toeplitz_core import build, dense_det
@@ -112,7 +115,6 @@ class TestGridLocalize:
                                 rng.uniform(-1, 1, size=3)])
             sym = TrigSymbol.from_cosine(c)
             try:
-                from toeplitz_spectra.spectra import _unique_minimizer
                 _unique_minimizer(sym)
             except NonUniqueMinimum:
                 continue
@@ -123,6 +125,35 @@ class TestGridLocalize:
                 assert all(abs(loc.theta_shift) < 1.0 for loc in locs)
                 slots = [(loc.branch, loc.k) for loc in locs]
                 assert len(set(slots)) == len(slots)
+
+    @settings(max_examples=25, deadline=None)
+    @given(c0=st.floats(2.5, 5.0),
+           c=st.lists(st.floats(-1.0, 1.0), max_size=2),
+           top=st.floats(0.05, 1.0), sign=st.sampled_from([-1.0, 1.0]),
+           N=st.integers(16, 256))
+    def test_antecedents_and_slots_property(self, c0, c, top, sign, N):
+        # the top coefficient is kept off zero: a symbol flat to rounding
+        # has all eigenvalues equal and too few grid slots near them
+        cos_c = np.array([c0, *c, sign * top])
+        sym = TrigSymbol.from_cosine(cos_c)
+        try:
+            _unique_minimizer(sym)
+        except NonUniqueMinimum:
+            assume(False)
+        eig = hermitian_eigen(build(sym, N).dense())
+        locs = grid_localize(sym, N, eig)
+
+        def f(theta):
+            j = np.arange(cos_c.size)
+            return np.cos(np.multiply.outer(theta, j)) @ cos_c
+
+        grid = f(np.linspace(0.0, np.pi, 1 << 14))
+        span = grid.max() - grid.min()
+        theta_star = np.array([loc.theta_star for loc in locs])
+        assert np.max(np.abs(f(theta_star) - eig.eigenvalues)) <= 1e-9 * span
+        slots = [(loc.branch, loc.k) for loc in locs]
+        assert len(set(slots)) == len(slots)
+        assert all(0 <= loc.k <= N + 1 for loc in locs)
 
     def test_out_of_range_eigenvalue(self):
         sym = TrigSymbol.from_cosine([2.0, -2.0])
@@ -145,6 +176,16 @@ class TestCharacteristicMatrix:
         chr = characterize(sym, 0.8, 4)
         M = characteristic_matrix(chr, 4, R=1e-3)
         assert np.max(np.abs(M)) < 1e-12
+
+    def test_stacked_omegas_match_single_calls(self):
+        rng = np.random.default_rng(5)
+        om = (rng.uniform(0.2, 0.9, (6, 3))
+              * np.exp(2j * np.pi * rng.random((6, 3))))
+        stacked = characteristic_matrix_from_omegas(om, 7, R=0.9)
+        assert stacked.shape == (6, 3, 3)
+        for s in range(6):
+            single = characteristic_matrix_from_omegas(om[s], 7, R=0.9)
+            assert np.allclose(stacked[s], single, rtol=1e-14, atol=0.0)
 
     def test_brute_force_truncation(self):
         # strictly-inside synthetic partners; both routes well defined
@@ -195,6 +236,23 @@ class TestDetEquationRoots:
         res = det_equation_roots(sym, N, (0.05, 3.95), n_samples=1500)
         assert len(res.roots) == eig.n
         assert np.max(np.abs(np.array(res.roots) - eig.eigenvalues)) < 1e-5
+
+    @pytest.mark.parametrize("cosine, n_samples, rel_margin, margin, missed", [
+        # a close eigenvalue pair inside one sample interval
+        ([3.348, -0.966, -0.68], 200, 0.01, 0.0, 2),
+        # a root where the normalized determinant is nearly imaginary
+        ([3.5674, -0.6644, 0.1225, -0.2064], 240, 0.0, 1e-3, 1),
+    ])
+    def test_missed_roots_raise(self, cosine, n_samples, rel_margin, margin,
+                                missed):
+        sym = TrigSymbol.from_cosine(cosine)
+        lo, hi = sym.range_on_grid()
+        margin += rel_margin * (hi - lo)
+        with pytest.raises(MissedRoots) as info:
+            det_equation_roots(sym, 8, (lo + margin, hi - margin),
+                               n_samples=n_samples)
+        assert info.value.expected == 9
+        assert info.value.found == 9 - missed
 
 
 class TestWeylGap:
@@ -256,3 +314,12 @@ class TestMonotoneBranches:
         b = monotone_branches(TrigSymbol.from_cosine([2.0, 0.0, -2.0]))
         assert len(b) == 2
         assert b[0][1] == pytest.approx(np.pi / 2, abs=1e-9)
+
+    def test_two_interior_extrema(self):
+        # f' = -sin(theta) (7.2 cos^2(theta) - 0.8) vanishes at cos = +-1/3
+        b = monotone_branches(TrigSymbol.from_cosine([2.0, 1.0, 0.0, 0.6]))
+        assert len(b) == 3
+        assert b[0][0] == 0.0 and b[-1][1] == np.pi
+        assert abs(b[0][1] - np.arccos(1.0 / 3.0)) < 1e-9
+        assert abs(b[1][1] - np.arccos(-1.0 / 3.0)) < 1e-9
+        assert b[0][1] == b[1][0] and b[1][1] == b[2][0]
