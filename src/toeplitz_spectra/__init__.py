@@ -17,7 +17,6 @@ from .toeplitz_core import (
     build,
     dense_det,
     dense_invert,
-    dense_solve,
     dump_csv,
     matvec,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "build",
     "dense_det",
     "dense_invert",
-    "dense_solve",
     "dump_csv",
     "matvec",
 ]

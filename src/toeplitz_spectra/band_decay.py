@@ -55,11 +55,9 @@ class BandSymbol:
 
 @dataclass(frozen=True, eq=False)
 class RegularSymbol:
-    """Strictly positive circle function with a caller-asserted annulus."""
+    """Strictly positive circle function given by its samples."""
 
     sample_fn: Callable[[np.ndarray], np.ndarray]
-    rho1: float = 0.0
-    rho2: float = np.inf
 
     def __post_init__(self):
         theta = 2.0 * np.pi * np.arange(2048) / 2048

@@ -1,341 +1,95 @@
-"""Rational Hardy-space calculus and the structured Toeplitz inversion formula.
+"""Structured inversion of Toeplitz sections through the Hankel correction.
 
-Everything in this module is exact symbolic manipulation of
-(pole, order, coefficient) triples; floating error enters only through the
-pole values themselves.  The three projection primitives below do all the
-work.  With chi = e^{i theta}, |a| < 1, r >= 0 and the rising-factorial
-expansion 1/(1-z)^m = sum_u binom(u+m-1, m-1) z^u:
+A factorization is read as f = s+ s- G1(chi) G2(chibar), with
+G1(z) = prod (1 - w z)^s of degree n1 and G2(z) = prod (1 - q z)^t of degree
+n2, every |w|, |q| < 1, and scales s+ (which carries g1's phase) and s-.
+All of the formulas below use two power series only,
 
-  pi_plus (chi^r / (1 - a chibar)^m)   -> polynomial of degree r,
-  pi_minus(chi^r / (1 - a chibar)^m)   -> a^{r+1} sum_k binom(r+m-k, m-k)
-                                            * chibar/(1 - a chibar)^k,
-  pi_plus (chibar^r / (1 - a chi)^m)   -> a^r sum_k binom(r+m-k-1, m-k)
-                                            / (1 - a chi)^k.
+    d = coefficients of 1/G1,    b = coefficients of 1/G2,
 
-The binomial tables are the shift expansion of the rising factorials
-tau_m(u) = (u+1)...(u+m-1); ``TauExpansion`` exposes that identity exactly.
+each computed once by a stable forward recursion, and the lower triangular
+Toeplitz matrices L(G1) (n1 x n1) and L(G2) (n2 x n2) of the leading
+coefficients.  Repeated or close roots are just repeated factors.
 
-On top of the primitives: the two Hankel maps chi^{N+1} g1/g2 and
-chi^{-N-1} g2/g1 act on the finite-dimensional stable subspace
-E = span{ 1/(1 - w_j chi)^h } spanned by the inverse-factor poles, their
-product matrix on E, and the entrywise/columnwise inverse of the Toeplitz
-section through the correction formula
+State basis.  The stable subspace E = {p(chi)/G1(chi) : deg p < n1} is the
+range of the composed Hankel maps of Phi_N = chi^{N+1} s+ G1 / (s- G2).  An
+element is stored as its first n1 series coefficients x (its "state"); its
+numerator is p = L(G1) x, and its later coefficients follow from the
+companion matrix A of G1.
 
-  T_N^{-1}(Q) = pi_+(Q/g2)/g1 - pi_+(((I - HH)^{-1} S2(Q)) Phi_N)/g1.
+Product matrix.  On states, H_Phitilde H_Phi acts as the n1 x n1 matrix
+
+    M = Hd L(G2) Hb L(G1),   Hd[i, e-1] = d[N+1+e+i],  Hb[e-1, j] = b[N+1+j+e],
+
+for i, j < n1 and 1 <= e <= n2; the scales cancel.
+
+Stein Gram.  The squared norm of the element with state x is x^H G x, with
+G = A^H G A + e0 e0^T (``solve_discrete_lyapunov``).  ``norm2`` is the
+operator norm of M in that inner product, ||R M R^{-1}||_2 for the Cholesky
+factor G = R^H R; it does not depend on the basis.  The inversion formula
+is certified when norm2 < 1 (the Neumann series of (I - M)^{-1} converges).
+
+Entries.  With r_e = sum_{c<e} G2_c b[l+e-c] (e = 1..n2), the state
+sigma_l = (d[N+1-l+i] - sum_e r_e d[N+1+e+i]) / s+ and p = L(G1) (I - M)^{-1}
+sigma_l,
+
+    (T_N^{-1})[k, l] = sum_{u <= min(k, l)} b[l-u] d[k-u] / (s+ s-)
+                       - (1/s-) sum_j p_j sum_{i <= k} b[N+1+j-i] d[k-i].
+
+The first sum is the product of the triangular inverses of the two factor
+sections; the second has rank at most n1.  The formula is evaluated a whole
+column at a time, by linearity in l, with both triangular inverses applied
+as banded recursions (``series_quotient``), at O(N (n1 + n2)) per column;
+an entry is read from its column.  Where M is not small (norm2 near 1,
+clustered roots) the state basis is ill-conditioned and the formula alone
+can lose digits far beyond the section's own condition number.  A column
+whose relative residual against the banded section of the factor product
+exceeds RESIDUAL_TOL is refined, at most MAX_REFINEMENT_STEPS times, until
+it does not.
+
+Contexts hold the series and the small matrices of one (factorization, N)
+pair.  A column inverse makes N + 1 calls and a point query several with the
+same pair, so contexts are cached.  The cache is keyed by the value of a
+``SpectralFactorization`` (a frozen dataclass; equal factorizations share a
+context) and by the identity of a ``_FactorPair``, and it holds only a few
+contexts, each of O(N) memory.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
-from typing import Literal
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    DegeneratePoles,
-    NeumannCondition,
-    SmallSystemSingular,
-)
-from .symbol_core import SpectralFactorization, partial_fractions
+from .errors import NeumannCondition, SmallSystemSingular
+from .symbol_core import (SpectralFactorization, factor_poly, inverse_series,
+                          series_quotient)
 
-Side = Literal["plus", "minus"]
+# Near norm2 = 1 the formula alone was off by 4e-4 of the max-norm, relative
+# residual 9e-5 (roots 0.75 (double), 0.8125, 0.84375, 0.5, 0.875, N = 6,
+# against mpmath); each refinement step gains about two digits there.  Where
+# it is sound its residual stays below 1e-12 (8e-13 on close roots at
+# condition number 5e7), and refining would trade its accuracy for the
+# cond * eps of a backward-stable solve.
+RESIDUAL_TOL = 1e-12
+MAX_REFINEMENT_STEPS = 10
 
-
-def _comb(n: int, k: int) -> int:
-    """binom(n, k) extended by binom(n, 0) = 1 for any n and 0 for n < k."""
-    if k == 0:
-        return 1
-    if n < k:
-        return 0
-    return math.comb(n, k)
-
-
-# ---------------------------------------------------------------------------
-# rising factorials and their shift expansion
-# ---------------------------------------------------------------------------
-
-def tau(m: int, u: int) -> int:
-    """tau_m(u) = (u+1)(u+2)...(u+m-1); tau_1 = 1."""
-    out = 1
-    for i in range(1, m):
-        out *= u + i
-    return out
-
-
-@dataclass(frozen=True)
-class TauExpansion:
-    """Shift expansion tau_m(w + r) = sum_{k=1}^m phi_{k,m}(r) tau_k(w).
-
-    ``table[k]`` holds the exact ascending coefficients (Fractions) of the
-    degree-(m-k) polynomial phi_{k,m}.
-    """
-
-    m: int
-    table: dict
-
-    @classmethod
-    def build(cls, m: int) -> "TauExpansion":
-        table = {}
-        for k in range(1, m + 1):
-            q = m - k
-            # binom(r + q - 1 + 0.., q) = prod_{i=0}^{q-1} (r + i) / q!
-            poly = [Fraction(1)]
-            for i in range(q):
-                # multiply by (r + i)
-                nxt = [Fraction(0)] * (len(poly) + 1)
-                for p, cp in enumerate(poly):
-                    nxt[p] += cp * i
-                    nxt[p + 1] += cp
-                poly = nxt
-            scale = Fraction(math.factorial(m - 1),
-                             math.factorial(k - 1) * math.factorial(q))
-            table[k] = tuple(c * scale for c in poly)
-        return cls(m=m, table=table)
-
-    def phi(self, k: int, r) -> Fraction:
-        coeffs = self.table[k]
-        out = Fraction(0)
-        for p, c in enumerate(reversed(coeffs)):
-            out = out * r + c
-        return out
-
-    def verify_exact(self, w_max: int = 20, r_max: int = 20) -> bool:
-        for w in range(w_max + 1):
-            for r in range(r_max + 1):
-                lhs = tau(self.m, w + r)
-                rhs = sum(self.phi(k, r) * tau(k, w)
-                          for k in range(1, self.m + 1))
-                if Fraction(lhs) != rhs:
-                    return False
-        return True
-
-
-# ---------------------------------------------------------------------------
-# rational Hardy elements
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class RationalHardyElement:
-    """Finite rational element of H+ or of its orthogonal complement.
-
-    side == "plus":   sum_t poly[t] chi^t  +  sum c / (1 - w chi)^h
-    side == "minus":  sum_{t>=1} poly[t] chibar^t
-                      + sum c * chibar / (1 - w chibar)^h
-
-    Fractional terms are (pole, order, coefficient) triples with |pole| < 1;
-    the minus-side normal form vanishes at infinity by construction.
-    """
-
-    side: Side
-    poly: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=complex))
-    terms: tuple = ()
-
-    def __post_init__(self):
-        p = np.asarray(self.poly, dtype=complex)
-        p = np.array(p)
-        p.setflags(write=False)
-        object.__setattr__(self, "poly", p)
-        for w, h, _ in self.terms:
-            if abs(w) >= 1.0 - 1e-9:
-                raise ValueError(f"pole {w} is not strictly inside the disk")
-            if h < 1:
-                raise ValueError("fraction order must be >= 1")
-        if self.side == "minus" and p.size and p[0] != 0:
-            raise ValueError("minus-side elements cannot carry a constant term")
-
-    @classmethod
-    def zero(cls, side: Side = "plus") -> "RationalHardyElement":
-        return cls(side=side)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        pmax = float(np.max(np.abs(self.poly))) if self.poly.size else 0.0
-        tmax = max((abs(c) for *_unused, c in self.terms), default=0.0)
-        return pmax <= tol and tmax <= tol
-
-    def __call__(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        z = np.exp(1j * theta) if self.side == "plus" else np.exp(-1j * theta)
-        out = np.zeros_like(z)
-        if self.poly.size:
-            out = out + np.polynomial.polynomial.polyval(z, self.poly)
-        for w, h, c in self.terms:
-            frac = c / (1.0 - w * z) ** h
-            if self.side == "minus":
-                frac = frac * z
-            out = out + frac
-        return out
-
-
-def _merge_terms(terms):
-    """Combine coefficients on identical (pole, order) keys."""
-    acc = {}
-    order_seen = []
-    for w, h, c in terms:
-        key = None
-        for k in acc:
-            if k[1] == h and abs(k[0] - w) <= 1e-12 * max(1.0, abs(w)):
-                key = k
-                break
-        if key is None:
-            key = (w, h)
-            order_seen.append(key)
-        acc[key] = acc.get(key, 0j) + c
-    return tuple((w, h, acc[(w, h)]) for w, h in order_seen)
-
-
-# ---------------------------------------------------------------------------
-# projection primitives
-# ---------------------------------------------------------------------------
-
-def project_plus_power(shift: int, pole: complex, order: int) -> np.ndarray:
-    """Ascending coefficients of pi_+(chi^shift / (1 - pole chibar)^order)."""
-    if shift < 0:
-        raise ValueError("shift must be >= 0")
-    u = np.arange(shift + 1)
-    weights = np.array([_comb(k + order - 1, order - 1) for k in u], dtype=float)
-    out = weights * pole ** u
-    return out[::-1].astype(complex)          # coefficient of chi^{shift-u}
-
-
-def project_minus_power(shift: int, pole: complex,
-                        order: int) -> RationalHardyElement:
-    """pi_-(chi^shift / (1 - pole chibar)^order) in minus normal form."""
-    if shift < 0:
-        raise ValueError("shift must be >= 0")
-    terms = []
-    for k in range(1, order + 1):
-        coef = pole ** (shift + 1) * _comb(shift + order - k, order - k)
-        terms.append((pole, k, complex(coef)))
-    return RationalHardyElement(side="minus", terms=_merge_terms(terms))
-
-
-def project_plus_conj_power(shift: int, pole: complex,
-                            order: int) -> RationalHardyElement:
-    """pi_+(chibar^shift / (1 - pole chi)^order) in plus normal form."""
-    if shift < 0:
-        raise ValueError("shift must be >= 0")
-    terms = []
-    for k in range(1, order + 1):
-        coef = pole ** shift * _comb(shift + order - k - 1, order - k)
-        terms.append((pole, k, complex(coef)))
-    return RationalHardyElement(side="plus", terms=_merge_terms(terms))
-
-
-def project_plus(x: RationalHardyElement, shift: int = 0) -> RationalHardyElement:
-    """pi_+(chi^shift * x) for a normal-form element, exact output."""
-    if shift < 0:
-        raise ValueError("shift must be >= 0")
-    if x.side == "plus":
-        poly = np.concatenate([np.zeros(shift, dtype=complex), x.poly]) \
-            if x.poly.size else np.zeros(0, dtype=complex)
-        out_poly = list(poly)
-        terms = []
-        for w, h, c in x.terms:
-            # chi^shift/(1 - w chi)^h -> polynomial + lower-order fractions via
-            # chi = (1 - (1 - w chi))/w
-            for i in range(shift + 1):
-                coef = c * w ** (-shift) * _comb(shift, i) * (-1.0) ** i
-                if i >= h:
-                    # (1 - w chi)^{i-h}: expand into the polynomial part
-                    for p in range(i - h + 1):
-                        mono = coef * _comb(i - h, p) * (-w) ** p
-                        while len(out_poly) <= p:
-                            out_poly.append(0j)
-                        out_poly[p] += mono
-                else:
-                    terms.append((w, h - i, complex(coef)))
-        return RationalHardyElement(side="plus",
-                                    poly=np.array(out_poly, dtype=complex),
-                                    terms=_merge_terms(terms))
-    # minus side: chi^shift * (chibar-poly + fraction terms)
-    out_poly = np.zeros(0, dtype=complex)
-    terms = []
-    for t in range(1, x.poly.size):
-        if x.poly[t] == 0:
-            continue
-        if shift - t >= 0:
-            if out_poly.size <= shift - t:
-                out_poly = np.concatenate(
-                    [out_poly, np.zeros(shift - t + 1 - out_poly.size,
-                                        dtype=complex)])
-            out_poly[shift - t] += x.poly[t]
-    poly_acc = list(out_poly)
-    for w, h, c in x.terms:
-        if shift >= 1:
-            # chi^shift * chibar/(1-w chibar)^h = chi^{shift-1}/(1-w chibar)^h
-            piece = c * project_plus_power(shift - 1, w, h)
-            while len(poly_acc) < piece.size:
-                poly_acc.append(0j)
-            for i, v in enumerate(piece):
-                poly_acc[i] += v
-    return RationalHardyElement(side="plus",
-                                poly=np.array(poly_acc, dtype=complex),
-                                terms=_merge_terms(terms))
-
-
-def project_minus(x: RationalHardyElement, shift: int = 0) -> RationalHardyElement:
-    """pi_-(chi^shift * x) for a normal-form element, exact output."""
-    if shift < 0:
-        raise ValueError("shift must be >= 0")
-    if x.side == "plus":
-        return RationalHardyElement.zero("minus")
-    poly = np.zeros(0, dtype=complex)
-    terms = []
-    for t in range(1, x.poly.size):
-        if x.poly[t] == 0:
-            continue
-        if t - shift >= 1:
-            if poly.size <= t - shift:
-                poly = np.concatenate(
-                    [poly, np.zeros(t - shift + 1 - poly.size, dtype=complex)])
-            poly[t - shift] += x.poly[t]
-    for w, h, c in x.terms:
-        if shift == 0:
-            terms.append((w, h, c))
-        else:
-            elem = project_minus_power(shift - 1, w, h)
-            terms.extend((ww, hh, c * cc) for ww, hh, cc in elem.terms)
-    return RationalHardyElement(side="minus", poly=poly,
-                                terms=_merge_terms(terms))
-
-
-# ---------------------------------------------------------------------------
-# factor pair machinery
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class _FactorPair:
-    """Internal view of a factorization for the Hankel algebra.
+    """A factorization as (pole, multiplicity) tuples and two scales.
 
-    Phi_N = chi^{N+1} (scale_plus * G1)/(scale_minus * G2) with monic-type
-    products G1 = prod (1 - w_j chi)^{s_j} and G2 = prod (1 - q_i chibar)^{t_i}.
+    Phi_N = chi^{N+1} (scale_plus * G1)/(scale_minus * G2) with
+    G1 = prod (1 - w_j chi)^{s_j} and G2 = prod (1 - q_i chibar)^{t_i}.
     """
 
     plus: tuple
     minus: tuple
     scale_plus: complex = 1.0 + 0j
     scale_minus: complex = 1.0 + 0j
-
-    @property
-    def n0(self) -> int:
-        return sum(s for _, s in self.plus)
-
-    @property
-    def rho(self) -> float:
-        mods = [abs(w) for w, _ in self.plus] + [abs(q) for q, _ in self.minus]
-        return max(mods, default=0.0)
-
-    def conjugate_pair(self) -> "_FactorPair":
-        """The pair whose forward map is the complex conjugate of Phi_N."""
-        return _FactorPair(
-            plus=tuple((np.conj(q), t) for q, t in self.minus),
-            minus=tuple((np.conj(w), s) for w, s in self.plus),
-            scale_plus=np.conj(self.scale_minus),
-            scale_minus=np.conj(self.scale_plus))
 
 
 def _pair_from_factorization(factor) -> _FactorPair:
@@ -348,338 +102,113 @@ def _pair_from_factorization(factor) -> _FactorPair:
     raise TypeError(f"unsupported factorization object {type(factor)!r}")
 
 
-def _poly_from_factors(factors) -> np.ndarray:
-    c = np.array([1.0 + 0j])
-    for w, s in factors:
-        for _ in range(s):
-            c = np.convolve(c, np.array([1.0, -w]))
-    return c
-
-
-def _quotient_poly(factors, skip_pole, skip_order) -> np.ndarray:
-    """Coefficients of prod (1 - w chi)^s / (1 - skip_pole chi)^skip_order."""
-    c = np.array([1.0 + 0j])
-    used = False
-    for w, s in factors:
-        mult = s
-        if not used and abs(w - skip_pole) <= 1e-12 * max(1.0, abs(w)):
-            if skip_order > s:
-                raise DegeneratePoles("fraction order exceeds factor multiplicity")
-            mult = s - skip_order
-            used = True
-        for _ in range(mult):
-            c = np.convolve(c, np.array([1.0, -w]))
-    if not used:
-        raise DegeneratePoles(f"pole {skip_pole} is not a factor pole")
-    return c
-
-
 @dataclass(frozen=True, eq=False)
 class HankelProductMatrix:
-    """Matrix of the composed Hankel maps on the stable basis of E."""
+    """Matrix of the composed Hankel maps on the state basis of E."""
 
-    basis: tuple               # ((pole, order), ...)
-    entries: np.ndarray        # dim(E) x dim(E)
+    entries: np.ndarray        # n1 x n1, read-only
     N: int
-    norm2: float               # Gram-corrected operator norm on E
+    norm2: float               # operator norm in the Gram inner product
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.entries.shape[0]
+
+
+def _lower_toeplitz(c: np.ndarray, n: int) -> np.ndarray:
+    """n x n lower triangular Toeplitz matrix of the coefficients c[0..n-1]."""
+    return scipy.linalg.toeplitz(c[:n], np.zeros(n))
 
 
 class _InversionContext:
-    """Per-(factorization, N) cache: pf data, product matrix, Gram factors."""
+    """Series, product matrix, Gram norm and LU of one (factorization, N)."""
 
     def __init__(self, pair: _FactorPair, N: int):
-        self.pair = pair
         self.N = N
-        self.pf_plus = tuple(partial_fractions(pair.plus)) if pair.plus else ()
-        self.pf_minus = tuple(partial_fractions(pair.minus)) if pair.minus else ()
-        self.basis = tuple((w, h) for w, s in pair.plus
-                           for h in range(1, s + 1))
-        self.minus_basis = tuple((q, t) for q, s in pair.minus
-                                 for t in range(1, s + 1))
-        self._matrix = None
-        self._gram = None
-        self._norm = None
-        self._solve_lu = None
-        self._star = None
+        self.scale_plus, self.scale_minus = pair.scale_plus, pair.scale_minus
+        self.g1, self.g2 = factor_poly(pair.plus), factor_poly(pair.minus)
+        self.n1 = n1 = self.g1.size - 1
+        self.n2 = n2 = self.g2.size - 1
+        d = inverse_series(pair.plus, N + n1 + n2 + 3)
+        self.b = inverse_series(pair.minus, N + n1 + n2 + 3)
+        i, e = np.arange(n1), np.arange(1, n2 + 1)
+        self.Hd = d[N + 1 + i[:, None] + e[None, :]]
+        self.L1 = _lower_toeplitz(self.g1, n1)
+        self.L2 = _lower_toeplitz(self.g2, n2)
+        M = self.Hd @ self.L2 @ self.b[N + 1 + e[:, None] + i[None, :]] \
+            @ self.L1
+        M.setflags(write=False)
+        self.M = M
+        # hat(f)(-n2..n1) of the factor product, for the refinement residual
+        self.fhat = pair.scale_plus * pair.scale_minus * np.convolve(
+            self.g1, self.g2[::-1])
 
-    def star(self) -> "_InversionContext":
-        """Context of the conjugated factorization (for adjoint-side vectors)."""
-        if self._star is None:
-            self._star = _InversionContext(self.pair.conjugate_pair(), self.N)
-        return self._star
-
-    # -- stable subspace bookkeeping -------------------------------------
-
-    def coords(self, elem: RationalHardyElement) -> np.ndarray:
-        if elem.side != "plus" or (elem.poly.size and
-                                   np.max(np.abs(elem.poly)) > 0):
-            raise ValueError("element is not in the stable subspace")
-        vec = np.zeros(len(self.basis), dtype=complex)
-        for w, h, c in elem.terms:
-            for i, (bw, bh) in enumerate(self.basis):
-                if bh == h and abs(bw - w) <= 1e-12 * max(1.0, abs(bw)):
-                    vec[i] += c
-                    break
-            else:
-                raise ValueError(f"term pole {w} order {h} outside the basis")
-        return vec
-
-    def element(self, vec: np.ndarray) -> RationalHardyElement:
-        terms = tuple((w, h, complex(c))
-                      for (w, h), c in zip(self.basis, vec) if c != 0)
-        return RationalHardyElement(side="plus", terms=terms)
-
-    # -- the two Hankel maps ----------------------------------------------
-
-    def forward(self, x: RationalHardyElement) -> RationalHardyElement:
-        """H_Phi x = pi_-(Phi_N x) for x in span(E) (+ polynomial part)."""
-        numer = np.zeros(1, dtype=complex)
-        if x.poly.size:
-            numer = np.convolve(_poly_from_factors(self.pair.plus), x.poly)
-        acc = {}
-
-        def add_poly(p):
-            nonlocal numer
-            if p.size > numer.size:
-                p = p.copy()
-                p[: numer.size] += numer
-                numer = p
-            else:
-                numer = numer.copy()
-                numer[: p.size] += p
-
-        for w, h, c in x.terms:
-            add_poly(c * _quotient_poly(self.pair.plus, w, h))
-        scale = self.pair.scale_plus / self.pair.scale_minus
-        out_terms = []
-        for mu, g in enumerate(numer):
-            if g == 0:
-                continue
-            for q, t, cm in self.pf_minus:
-                piece = project_minus_power(self.N + 1 + mu, q, t)
-                out_terms.extend((w2, h2, scale * g * cm * c2)
-                                 for w2, h2, c2 in piece.terms)
-        return RationalHardyElement(side="minus", terms=_merge_terms(out_terms))
-
-    def backward(self, y: RationalHardyElement) -> RationalHardyElement:
-        """H_Phitilde y = pi_+(Phitilde_N y) for y in the image space."""
-        chibar = np.zeros(1, dtype=complex)
-
-        def add(p, offset):
-            nonlocal chibar
-            need = offset + p.size
-            if need > chibar.size:
-                chibar = np.concatenate(
-                    [chibar, np.zeros(need - chibar.size, dtype=complex)])
-            chibar[offset: offset + p.size] += p
-
-        g2 = _poly_from_factors(self.pair.minus)
-        if y.poly.size:
-            add(np.convolve(g2, y.poly), 0)
-        for q, t, c in y.terms:
-            add(c * np.convolve(_quotient_poly(self.pair.minus, q, t),
-                                np.array([0.0, 1.0 + 0j])), 0)
-        return self._project_plus_chibar_poly(chibar, extra_shift=self.N + 1)
-
-    def _project_plus_chibar_poly(self, chibar: np.ndarray,
-                                  extra_shift: int) -> RationalHardyElement:
-        """pi_+( chibar^{extra_shift} * sum_b chibar[b] chibar^b / (scale g1) )."""
-        scale = self.pair.scale_minus / self.pair.scale_plus
-        out_terms = []
-        for b, g in enumerate(chibar):
-            if g == 0:
-                continue
-            r = extra_shift + b
-            if r < 0:
-                raise ValueError("negative net shift in backward projection")
-            for w, h, cp in self.pf_plus:
-                piece = project_plus_conj_power(r, w, h)
-                out_terms.extend((w2, h2, scale * g * cp * c2)
-                                 for w2, h2, c2 in piece.terms)
-        return RationalHardyElement(side="plus", terms=_merge_terms(out_terms))
-
-    # -- product matrix, Gram data, norms ----------------------------------
-
-    def product_matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            dim = len(self.basis)
-            M = np.zeros((dim, dim), dtype=complex)
-            for j in range(dim):
-                w, h = self.basis[j]
-                e_j = RationalHardyElement(side="plus", terms=((w, h, 1.0 + 0j),))
-                M[:, j] = self.coords(self.backward(self.forward(e_j)))
-            self._matrix = M
-        return self._matrix
-
-    def gram(self) -> np.ndarray:
-        if self._gram is None:
-            dim = len(self.basis)
-            G = np.empty((dim, dim), dtype=complex)
-            for i, (a, ha) in enumerate(self.basis):
-                for j, (b, hb) in enumerate(self.basis):
-                    G[i, j] = _inner_pole(a, ha, b, hb)
-            self._gram = G
-        return self._gram
-
+    @cached_property
     def norm2(self) -> float:
-        if self._norm is None:
-            M = self.product_matrix()
-            if M.size == 0:
-                self._norm = 0.0
-            else:
-                G = self.gram()
-                lam, V = np.linalg.eigh(G)
-                lam = np.maximum(lam.real, 1e-300)
-                G_half = V @ np.diag(np.sqrt(lam)) @ V.conj().T
-                G_half_inv = V @ np.diag(1.0 / np.sqrt(lam)) @ V.conj().T
-                self._norm = float(np.linalg.norm(G_half @ M @ G_half_inv, 2))
-        return self._norm
+        n1 = self.n1
+        if n1 == 0:
+            return 0.0
+        A = np.eye(n1, k=1, dtype=complex)
+        A[-1] = -self.g1[:0:-1]
+        e0 = np.zeros((n1, n1))
+        e0[0, 0] = 1.0
+        G = scipy.linalg.solve_discrete_lyapunov(A.conj().T, e0)
+        R = scipy.linalg.cholesky(0.5 * (G + G.conj().T))
+        return float(np.linalg.norm(R @ self.M @ np.linalg.inv(R), 2))
 
-    def solve_correction(self, rhs: np.ndarray) -> np.ndarray:
-        if self._solve_lu is None:
-            A = np.eye(len(self.basis)) - self.product_matrix()
-            try:
-                self._solve_lu = scipy.linalg.lu_factor(A)
-            except np.linalg.LinAlgError as exc:   # pragma: no cover
-                raise SmallSystemSingular(str(exc)) from exc
-            diag = np.abs(np.diag(self._solve_lu[0]))
-            if diag.size and float(diag.min()) <= 1e-14:
-                raise SmallSystemSingular(
-                    f"correction system pivot {float(diag.min()):.3e}")
-        return scipy.linalg.lu_solve(self._solve_lu, rhs)
+    @cached_property
+    def lu(self):
+        lu = scipy.linalg.lu_factor(np.eye(self.n1) - self.M)
+        pivot = float(np.abs(np.diag(lu[0])).min())
+        if pivot <= 1e-14:
+            raise SmallSystemSingular(f"correction system pivot {pivot:.3e}")
+        return lu
+
+    def check_norm(self) -> None:
+        if self.norm2 >= 1.0:
+            raise NeumannCondition(
+                f"Hankel product norm {self.norm2:.3f} >= 1 at N={self.N}")
+
+    def _apply(self, Q: np.ndarray) -> np.ndarray:
+        """The correction formula for sum_l Q_l (column l), unrefined."""
+        N, n, n1, n2 = self.N, Q.size, self.n1, self.n2
+        # c[n-1+t] = sum_l Q_l b[l+t] for -n < t <= n2: 1/G2 run backwards
+        c = series_quotient(self.g2, np.concatenate([Q[::-1], np.zeros(n2)]))
+        x = np.zeros(N + 1, dtype=complex)
+        x[:n] = c[:n][::-1] / self.scale_plus
+        if n1:
+            padded = np.zeros(N + 1 + n1, dtype=complex)
+            padded[:n] = Q
+            head = series_quotient(self.g1, padded)[N + 1:]
+            sigma = (head - self.Hd @ (self.L2 @ c[n:])) / self.scale_plus
+            p = self.L1 @ scipy.linalg.lu_solve(self.lu, sigma)
+            # x_i -= sum_j p_j b[N+1+j-i]
+            x -= sliding_window_view(self.b[1: N + 1 + n1], n1)[::-1] @ p
+        return series_quotient(self.g1, x) / self.scale_minus
+
+    def solve(self, Q: np.ndarray) -> np.ndarray:
+        """T_N^{-1} Q, refined against the banded section of the product."""
+        x = self._apply(Q)
+        for _ in range(MAX_REFINEMENT_STEPS):
+            residual = -np.convolve(self.fhat, x)[self.n2:][: self.N + 1]
+            residual[: Q.size] += Q
+            scale = np.abs(self.fhat).sum() * np.abs(x).max() \
+                + np.abs(Q).max(initial=0.0)
+            if np.abs(residual).max() <= RESIDUAL_TOL * scale:
+                break
+            x = x + self._apply(residual)
+        return x
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=8)
 def _cached_context(factor, N: int) -> _InversionContext:
     return _InversionContext(_pair_from_factorization(factor), N)
 
 
-def _context(factor, N: int) -> _InversionContext:
-    # SpectralFactorization and _FactorPair both hash by identity, so repeat
-    # calls with the same factorization object reuse all assembled data
-    return _cached_context(factor, N)
-
-
-# ---------------------------------------------------------------------------
-# inner products (series with geometric tails)
-# ---------------------------------------------------------------------------
-
-def _inner_pole(a: complex, ha: int, b: complex, hb: int) -> complex:
-    """< 1/(1-a chi)^ha , 1/(1-b chi)^hb > on the circle."""
-    x = a * np.conj(b)
-    if x == 0:
-        return 1.0 + 0j
-    total = 0j
-    u0 = 0
-    block = 256
-    while True:
-        u = np.arange(u0, u0 + block)
-        wa = np.array([_comb(k + ha - 1, ha - 1) for k in u], dtype=float)
-        wb = np.array([_comb(k + hb - 1, hb - 1) for k in u], dtype=float)
-        chunk = np.sum(wa * wb * x ** u)
-        total += chunk
-        u0 += block
-        if abs(chunk) <= 1e-18 * max(1.0, abs(total)) or u0 > 60000:
-            break
-    return complex(total)
-
-
-def _inner_elements(x: RationalHardyElement, y: RationalHardyElement) -> complex:
-    """<x, y> for two plus-side elements without polynomial parts."""
-    out = 0j
-    for a, ha, ca in x.terms:
-        for b, hb, cb in y.terms:
-            out += ca * np.conj(cb) * _inner_pole(a, ha, b, hb)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
-
-def stable_basis(factor) -> tuple:
-    """(pole, order) basis of the stable subspace E for a factorization."""
-    return _context(factor, 0).basis
-
-
-def hankel_apply(factor, N: int, x: RationalHardyElement,
-                 direction: str = "forward") -> RationalHardyElement:
-    """Apply one Hankel map of the pair to a rational element, exactly.
-
-    ``forward`` sends plus-side elements of span(E) to the minus side;
-    ``backward`` sends minus-side elements back into span(E).
-    """
-    ctx = _context(factor, N)
-    if direction.lower() == "forward":
-        if x.side != "plus":
-            raise ValueError("forward direction needs a plus-side element")
-        return ctx.forward(x)
-    if direction.lower() == "backward":
-        if x.side != "minus":
-            raise ValueError("backward direction needs a minus-side element")
-        return ctx.backward(x)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 def hankel_product_matrix(factor, N: int) -> HankelProductMatrix:
-    """Matrix of H_Phitilde H_Phi on the stable basis, with a norm estimate."""
-    ctx = _context(factor, N)
-    return HankelProductMatrix(basis=ctx.basis, entries=ctx.product_matrix(),
-                               N=N, norm2=ctx.norm2())
-
-
-def _s2_vector(ctx: _InversionContext, W: np.ndarray) -> RationalHardyElement:
-    """pi_+( pi_+(Q/g2) * Phitilde_N ) for W = coefficients of pi_+(Q/g2).
-
-    W(chi) g2(chibar) chi^{-N-1} collects into chibar powers >= 1 whenever
-    deg W <= N, after which the plus projection is the standard primitive.
-    """
-    g2 = _poly_from_factors(ctx.pair.minus)
-    # coefficient of chibar^{N+1+b-a} from W_a * g2_b
-    max_exp = ctx.N + 1 + (g2.size - 1)
-    chibar = np.zeros(max_exp + 1, dtype=complex)
-    for a, wa in enumerate(W):
-        if wa == 0:
-            continue
-        for b, gb in enumerate(g2):
-            e = ctx.N + 1 + b - a
-            if e < 1:
-                raise ValueError("polynomial degree exceeds the section order")
-            chibar[e] += wa * gb
-    return ctx._project_plus_chibar_poly(chibar, extra_shift=0)
-
-
-def _pi_plus_over_g2(ctx: _InversionContext, Q: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of pi_+(Q/g2), a polynomial of degree deg Q."""
-    if not ctx.pair.minus:
-        return np.asarray(Q, dtype=complex) / ctx.pair.scale_minus
-    out = np.zeros(Q.size, dtype=complex)
-    for l, ql in enumerate(Q):
-        if ql == 0:
-            continue
-        for q, t, cm in ctx.pf_minus:
-            out[: l + 1] += ql * cm * project_plus_power(l, q, t)
-    return out / ctx.pair.scale_minus
-
-
-def _coeffs_times_inv_g1(ctx: _InversionContext, poly: np.ndarray,
-                         upto: int) -> np.ndarray:
-    """chi-coefficients 0..upto of poly(chi) / (scale_plus * G1)."""
-    n = upto + 1
-    out = np.zeros(n, dtype=complex)
-    if not ctx.pair.plus:
-        out[: min(n, poly.size)] = poly[:n]
-        return out / ctx.pair.scale_plus
-    for w, h, cp in ctx.pf_plus:
-        u = np.arange(n)
-        kern = np.array([_comb(k + h - 1, h - 1) for k in u],
-                        dtype=float) * w ** u
-        out += cp * np.convolve(poly[:n], kern)[:n]
-    return out / ctx.pair.scale_plus
+    """Matrix of H_Phitilde H_Phi on the state basis, with its Gram norm."""
+    ctx = _cached_context(factor, N)
+    return HankelProductMatrix(entries=ctx.M, N=N, norm2=ctx.norm2)
 
 
 def invert_apply(factor, N: int, Q: np.ndarray, *,
@@ -698,93 +227,23 @@ def invert_apply(factor, N: int, Q: np.ndarray, *,
     Q = np.asarray(Q, dtype=complex)
     if Q.size > N + 1:
         raise ValueError("polynomial degree exceeds the section order")
-    ctx = _context(factor, N)
-    if not ctx.pair.plus and not ctx.pair.minus:
-        out = np.zeros(N + 1, dtype=complex)
-        out[: Q.size] = Q / ctx.pair.scale_plus
-        return out
+    ctx = _cached_context(factor, N)
     if norm_check:
-        norm = ctx.norm2()
-        if norm >= 1.0:
-            raise NeumannCondition(
-                f"Hankel product norm {norm:.3f} >= 1 at N={N}")
-    W = _pi_plus_over_g2(ctx, Q)
-    term1 = _coeffs_times_inv_g1(ctx, W, N)
-    if not ctx.basis:
-        return term1
-    s2 = _s2_vector(ctx, W)
-    y = ctx.solve_correction(ctx.coords(s2))
-    # pi_+( Y Phi_N ): g1 Y is a chi-polynomial, then project over 1/g2
-    g1Y = np.zeros(1, dtype=complex)
-    for (w, h), c in zip(ctx.basis, y):
-        if c == 0:
-            continue
-        piece = c * _quotient_poly(ctx.pair.plus, w, h)
-        if piece.size > g1Y.size:
-            piece = piece.copy()
-            piece[: g1Y.size] += g1Y
-            g1Y = piece
-        else:
-            g1Y = g1Y.copy()
-            g1Y[: piece.size] += piece
-    scale = ctx.pair.scale_plus / ctx.pair.scale_minus
-    proj = np.zeros(N + 1 + g1Y.size + 1, dtype=complex)
-    for mu, g in enumerate(g1Y):
-        if g == 0:
-            continue
-        r = N + 1 + mu
-        if not ctx.pair.minus:
-            if r < proj.size:
-                proj[r] += scale * g
-            continue
-        for q, t, cm in ctx.pf_minus:
-            piece = scale * g * cm * project_plus_power(r, q, t)
-            proj[: r + 1] += piece
-    term2 = _coeffs_times_inv_g1(ctx, proj, N)
-    return term1 - term2
+        ctx.check_norm()
+    return ctx.solve(Q)
 
 
 def inverse_entry(factor, N: int, k: int, l: int, *,
                   norm_check: bool = True) -> complex:
     """Single entry (k, l), 0-based, of the inverse section.
 
-    Splits into the direct part (finite double sum over the inverse-factor
-    partial fractions) and the Hankel correction solved on the stable
-    subspace.
+    Read from column l of the inverse, which costs O(N (n1 + n2)).
     """
     if not (0 <= k <= N and 0 <= l <= N):
         raise ValueError("entry indices must lie in [0, N]")
-    ctx = _context(factor, N)
-    pair = ctx.pair
-    if not pair.plus and not pair.minus:
-        return (1.0 / pair.scale_plus) if k == l else 0j
+    ctx = _cached_context(factor, N)
     if norm_check:
-        norm = ctx.norm2()
-        if norm >= 1.0:
-            raise NeumannCondition(
-                f"Hankel product norm {norm:.3f} >= 1 at N={N}")
-    # direct term: < pi_+(chi^l / g2), pi_+(chi^k / conj(g1)) >
-    t1 = 0j
-    for q, t, cm in (ctx.pf_minus or ((0j, 1, 1.0 + 0j),)):
-        for w, h, cp in (ctx.pf_plus or ((0j, 1, 1.0 + 0j),)):
-            s = 0j
-            for v in range(max(0, k - l), k + 1):
-                u = l - k + v
-                s += (_comb(u + t - 1, t - 1) * _comb(v + h - 1, h - 1)
-                      * q ** u * w ** v)
-            t1 += cm * cp * s
-    t1 /= pair.scale_plus * pair.scale_minus
-    if not ctx.basis:
-        return complex(t1)
-    # correction term through the stable subspace
-    ek = np.zeros(l + 1, dtype=complex)
-    ek[l] = 1.0
-    s2_l = _s2_vector(ctx, _pi_plus_over_g2(ctx, ek))
-    y = ctx.solve_correction(ctx.coords(s2_l))
-    Y = ctx.element(y)
-    star_ctx = ctx.star()
-    ekk = np.zeros(k + 1, dtype=complex)
-    ekk[k] = 1.0
-    s2_star = _s2_vector(star_ctx, _pi_plus_over_g2(star_ctx, ekk))
-    t2 = -_inner_elements(Y, s2_star)
-    return complex(t1 + t2)
+        ctx.check_norm()
+    unit = np.zeros(l + 1, dtype=complex)
+    unit[l] = 1.0
+    return complex(ctx.solve(unit)[k])

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NotPositiveDefinite, PredictorRootOnCircle
-from .symbol_core import TrigSymbol
+from .symbol_core import TrigSymbol, inverse_series
 
 log = logging.getLogger("toeplitz_spectra")
 
@@ -174,20 +174,6 @@ def g_inverse_coeffs(factor, count: int) -> np.ndarray:
     square root of the scale and the factors (1 - w chi) of g1, whose w are
     the conjugates of the Laurent polynomial's inside roots.
     """
-    from .symbol_core import partial_fractions
-    import math as _math
     if factor.scale <= 0:
         raise ValueError("analytic factor needs a positive scale")
-    root_scale = np.sqrt(factor.scale)
-    if not factor.g1_factors:
-        out = np.zeros(count, dtype=complex)
-        out[0] = 1.0 / root_scale
-        return out
-    pf = partial_fractions(factor.g1_factors)
-    u = np.arange(count)
-    out = np.zeros(count, dtype=complex)
-    for a, hh, c in pf:
-        weights = np.array([_math.comb(k + hh - 1, hh - 1) for k in u],
-                           dtype=float)
-        out += c * weights * a ** u
-    return out / root_scale
+    return inverse_series(factor.g1_factors, count) / np.sqrt(factor.scale)

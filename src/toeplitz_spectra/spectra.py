@@ -326,12 +326,6 @@ def characterize(sym: TrigSymbol, lam: float, N: int, *, R: float = 1.0
                                  r=len(chis), hankel_matrix=H)
 
 
-def characteristic_matrix(chr: EigenCharacterization, N: int,
-                          R: float = 1.0) -> np.ndarray:
-    """r x r composed-Hankel matrix for already-characterized antecedents."""
-    return characteristic_matrix_from_omegas(chr.omegas, N, R)
-
-
 @dataclass(frozen=True)
 class DetRootsResult:
     roots: tuple

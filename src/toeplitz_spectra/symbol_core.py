@@ -8,9 +8,9 @@ and from there into the multiplicative split
     f(chi) = C * g1(chi) * g2(chi),    chi = e^{i theta},
 
 where g1 is a product of factors (1 - w chi) with |w| < 1 (so g1 and 1/g1 are
-analytic in the disk) and g2 the mirrored product in chibar.  Partial-fraction
-data for 1/g1 and 1/g2 is computed here as well, since every downstream
-computation consumes it.
+analytic in the disk) and g2 the mirrored product in chibar.  The power
+series of the inverse of such a product, the one thing the inversion and
+predictor layers take from the factors, is ``inverse_series``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.linalg.blas
 
 from .errors import (
     AliasingRisk,
@@ -463,6 +464,42 @@ def partial_fractions(poles: Sequence[tuple[complex, int]],
 
 
 # ---------------------------------------------------------------------------
+# factor products and their inverse series
+# ---------------------------------------------------------------------------
+
+def factor_poly(factors: Sequence[tuple[complex, int]]) -> np.ndarray:
+    """Ascending coefficients of prod_j (1 - w_j z)^{m_j}."""
+    c = np.array([1.0 + 0j])
+    for w, m in factors:
+        for _ in range(m):
+            c = np.convolve(c, np.array([1.0, -w]))
+    return c
+
+
+def series_quotient(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """First len(y) power-series coefficients of y(z) / g(z), g(0) = 1.
+
+    A banded lower triangular Toeplitz solve (BLAS ``tbsv``), i.e. the
+    forward recursion; it is stable when the roots of g lie outside the
+    closed unit disk, and repeated or close roots need no special care.
+    """
+    y = np.asarray(y, dtype=complex)
+    if y.size == 0:
+        return y
+    band = np.repeat(np.asarray(g, dtype=complex)[:, None], y.size, axis=1)
+    return scipy.linalg.blas.ztbsv(g.size - 1, band, y, lower=1)
+
+
+def inverse_series(factors: Sequence[tuple[complex, int]],
+                   count: int) -> np.ndarray:
+    """Coefficients 0..count-1 of the power series of 1 / factor_poly(factors).
+    """
+    impulse = np.zeros(count, dtype=complex)
+    impulse[0] = 1.0
+    return series_quotient(factor_poly(factors), impulse)
+
+
+# ---------------------------------------------------------------------------
 # spectral factorization
 # ---------------------------------------------------------------------------
 
@@ -472,16 +509,13 @@ class SpectralFactorization:
 
     g1(chi) = phase * prod_j (1 - w_j chi)^{s_j} with w_j = conj(inside root),
     g2(chi) = prod_i (1 - a_i chibar)^{s_i} over the inside roots a_i, and
-    C > 0 real.  ``pf_g1_inv``/``pf_g2_inv`` hold (pole, order, coefficient)
-    triples for 1/g1 and 1/g2.
+    C > 0 real.
     """
 
     scale: float
     phase: complex
     g1_factors: tuple          # ((w_j, s_j), ...), |w_j| < 1
     g2_factors: tuple          # ((a_i, s_i), ...), |a_i| < 1
-    pf_g1_inv: tuple
-    pf_g2_inv: tuple
     roots: RootSet
     symbol: TrigSymbol = field(compare=False)
 
@@ -527,7 +561,7 @@ def wiener_hopf_factor(sym: TrigSymbol, *, seed: int = 0,
         phase = c / abs(c)
         return SpectralFactorization(
             scale=abs(c), phase=complex(phase), g1_factors=(), g2_factors=(),
-            pf_g1_inv=(), pf_g2_inv=(), roots=RootSet((), ()), symbol=sym)
+            roots=RootSet((), ()), symbol=sym)
     K = LaurentPoly.from_symbol(sym)
     roots = laurent_roots(K, seed=seed)
     if not roots.balanced or roots.n_inside != sym.degree:
@@ -551,15 +585,9 @@ def wiener_hopf_factor(sym: TrigSymbol, *, seed: int = 0,
         raise UnbalancedWinding(
             "factor product does not reconstruct the symbol; "
             "root data is inconsistent")
-    phase = c_raw / abs(c_raw)
-    scale = abs(c_raw)
-    pf_g1 = tuple((w, h, c / phase)
-                  for w, h, c in partial_fractions(g1_factors))
-    pf_g2 = tuple(partial_fractions(g2_factors))
     return SpectralFactorization(
-        scale=float(scale), phase=complex(phase), g1_factors=g1_factors,
-        g2_factors=g2_factors, pf_g1_inv=pf_g1, pf_g2_inv=pf_g2,
-        roots=roots, symbol=sym)
+        scale=float(abs(c_raw)), phase=complex(c_raw / abs(c_raw)),
+        g1_factors=g1_factors, g2_factors=g2_factors, roots=roots, symbol=sym)
 
 
 # ---------------------------------------------------------------------------

@@ -115,12 +115,6 @@ def dense_invert(T: ToeplitzMatrix) -> DenseMatrix:
                                  check_finite=False)
 
 
-def dense_solve(T: ToeplitzMatrix, b: np.ndarray) -> np.ndarray:
-    lu, piv = _lu(T)
-    return scipy.linalg.lu_solve((lu, piv), np.asarray(b, dtype=complex),
-                                 check_finite=False)
-
-
 def dense_det(M: DenseMatrix) -> complex:
     """Determinant via pivoted LU (sign-tracked product of pivots)."""
     M = np.asarray(M, dtype=complex)

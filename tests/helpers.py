@@ -5,8 +5,6 @@ library code it checks (series truncation, convolution identities, dense
 linear algebra), so the two sides never share a bug.
 """
 
-from math import comb
-
 import numpy as np
 
 from toeplitz_spectra.symbol_core import TrigSymbol
@@ -29,50 +27,6 @@ def symbol_from_inside_roots(roots, scale=1.0):
     p = poly_from_factors(roots)
     conv = np.convolve(p, np.conj(p[::-1]))
     return TrigSymbol(scale * conv)
-
-
-def series_project_minus(shift, pole, order, n_terms=256):
-    """Truncated-series coefficients of pi_-(chi^shift / (1-pole*chibar)^order).
-
-    Returns c[0..n_terms] with c[w] the coefficient of chibar^w (c[0] = 0).
-    """
-    out = np.zeros(n_terms + 1, dtype=complex)
-    for u in range(shift + 1, shift + n_terms + 1):
-        w = u - shift
-        out[w] = comb(u + order - 1, order - 1) * pole ** u
-    return out
-
-
-def series_project_plus_conj(shift, pole, order, n_terms=256):
-    """chi-coefficients of pi_+(chibar^shift / (1-pole*chi)^order), shift >= 0."""
-    out = np.zeros(n_terms, dtype=complex)
-    for u in range(shift, shift + n_terms):
-        v = u - shift
-        out[v] = comb(u + order - 1, order - 1) * pole ** u
-    return out
-
-
-def plus_element_coeffs(elem, n_terms):
-    """chi-coefficients 0..n_terms-1 of a plus-side rational element."""
-    out = np.zeros(n_terms, dtype=complex)
-    poly = np.asarray(elem.poly, dtype=complex)
-    out[: min(poly.size, n_terms)] += poly[:n_terms]
-    ks = np.arange(n_terms)
-    for w, h, c in elem.terms:
-        out += c * np.array([comb(k + h - 1, h - 1) for k in ks]) * w ** ks
-    return out
-
-
-def minus_element_coeffs(elem, n_terms):
-    """chibar-coefficients 0..n_terms of a minus-side rational element."""
-    out = np.zeros(n_terms + 1, dtype=complex)
-    poly = np.asarray(elem.poly, dtype=complex)
-    for t in range(1, min(poly.size, n_terms + 1)):
-        out[t] += poly[t]
-    for w, h, c in elem.terms:
-        for k in range(1, n_terms + 1):
-            out[k] += c * comb(k - 1 + h - 1, h - 1) * w ** (k - 1)
-    return out
 
 
 def char_poly_coeffs(M):
@@ -139,6 +93,12 @@ def laurent_tables(plus_poles, minus_poles, scale, N, U):
             e = -(N + 1) - mu + k
             phit[e] = phit.get(e, 0j) + g * inv_g1[k]
     return phi, phit
+
+
+def largest_eigenvalues(P, r):
+    """The r eigenvalues of P of largest modulus, sorted by np.sort_complex."""
+    ev = np.linalg.eigvals(P)
+    return np.sort_complex(ev[np.argsort(-np.abs(ev))[:r]])
 
 
 def brute_hankel_product(plus_poles, minus_poles, scale, N, dim):

@@ -185,7 +185,7 @@ def test_criterion_08_predictor_limit_rate():
 
 
 def test_criterion_09_regular_symbol_decay():
-    f = RegularSymbol(lambda t: np.exp(np.cos(t)), rho1=0.5, rho2=2.0)
+    f = RegularSymbol(lambda t: np.exp(np.cos(t)))
     rep = corollary_decay_check(f, 60, 1.5)
     chk = perturbation_inequality_check(f, 40)
     ok = (rep.bound_constant is not None

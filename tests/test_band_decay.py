@@ -108,7 +108,7 @@ class TestApproxRegular:
 
 class TestCorollaryDecay:
     def test_exp_cos(self):
-        f = RegularSymbol(lambda t: np.exp(np.cos(t)), rho1=0.5, rho2=2.0)
+        f = RegularSymbol(lambda t: np.exp(np.cos(t)))
         rep = corollary_decay_check(f, 60, 1.5)
         assert rep.bound_constant is not None and np.isfinite(rep.bound_constant)
         assert rep.slope <= -np.log(1.5) + 0.1
@@ -136,7 +136,7 @@ class TestCorollaryDecay:
 
 class TestPerturbationInequality:
     def test_exp_cos_n40(self):
-        f = RegularSymbol(lambda t: np.exp(np.cos(t)), rho1=0.5, rho2=2.0)
+        f = RegularSymbol(lambda t: np.exp(np.cos(t)))
         chk = perturbation_inequality_check(f, 40)
         assert chk.q < 1.0
         assert chk.holds

@@ -1,32 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from toeplitz_spectra.errors import NeumannCondition
 from toeplitz_spectra.hankel_inversion import (
-    RationalHardyElement,
-    TauExpansion,
-    hankel_apply,
+    _cached_context,
+    _FactorPair,
     hankel_product_matrix,
     inverse_entry,
     invert_apply,
-    project_minus,
-    project_minus_power,
-    project_plus,
-    project_plus_conj_power,
-    project_plus_power,
-    stable_basis,
-    tau,
 )
 from toeplitz_spectra.symbol_core import TrigSymbol, wiener_hopf_factor
 from toeplitz_spectra.toeplitz_core import build, dense_invert
 
 from helpers import (
     brute_hankel_product,
-    minus_element_coeffs,
-    plus_element_coeffs,
+    largest_eigenvalues,
     symbol_from_inside_roots,
 )
 from toeplitz_spectra.toeplitz_core import ToeplitzMatrix
+
+
+def _brute_product(fac, N, dim):
+    plus = [w for w, s in fac.g1_factors for _ in range(s)]
+    minus = [a for a, s in fac.g2_factors for _ in range(s)]
+    return brute_hankel_product(plus, minus, fac.scale * fac.phase, N, dim)
 
 
 def _pair_toeplitz(pair, N):
@@ -50,78 +48,6 @@ def _pair_toeplitz(pair, N):
                           bandwidth=min(max(a.size, b.size) - 1, N))
 
 
-class TestTauExpansion:
-    def test_exact_identity_small_orders(self):
-        for m in range(1, 7):
-            exp = TauExpansion.build(m)
-            assert exp.verify_exact(w_max=20, r_max=20)
-
-    def test_degrees(self):
-        exp = TauExpansion.build(4)
-        for k in range(1, 5):
-            assert len(exp.table[k]) == 4 - k + 1
-
-    def test_tau_values(self):
-        assert tau(1, 5) == 1
-        assert tau(3, 2) == 4 * 3  # (u+1)(u+2) at u=2
-
-
-class TestProjections:
-    def test_simple_pole_shift_two(self):
-        out = project_minus_power(2, 0.3 + 0.1j, 1)
-        ((w, h, c),) = out.terms
-        assert h == 1 and w == 0.3 + 0.1j
-        assert abs(c - (0.3 + 0.1j) ** 3) < 1e-15
-
-    def test_drops_constant(self):
-        out = project_minus_power(0, 0.6, 1)
-        ((w, h, c),) = out.terms
-        assert abs(c - 0.6) < 1e-15
-
-    def test_double_pole_vs_series(self):
-        elem = project_minus_power(3, 0.5, 2)
-        got = minus_element_coeffs(elem, 60)
-        want = np.zeros(61, dtype=complex)
-        for w in range(1, 61):
-            u = w + 3
-            want[w] = (u + 1) * 0.5 ** u   # binom(u+1, 1)
-        assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_plus_conj_vs_series(self):
-        from helpers import series_project_plus_conj
-        for shift, order in [(0, 1), (2, 1), (5, 3), (1, 2)]:
-            elem = project_plus_conj_power(shift, 0.45 - 0.2j, order)
-            got = plus_element_coeffs(elem, 80)
-            want = series_project_plus_conj(shift, 0.45 - 0.2j, order, 80)
-            assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_plus_power_polynomial(self):
-        coeffs = project_plus_power(2, 0.5, 1)
-        assert np.allclose(coeffs, [0.25, 0.5, 1.0])
-
-    def test_element_level_matches_series(self):
-        x = RationalHardyElement(side="minus",
-                                 terms=((0.5, 1, 0.5), (0.2, 2, 1.0 + 0.5j)))
-        ana = project_plus(x, 4)
-        got = ana.poly
-        series = minus_element_coeffs(x, 200)
-        want = np.zeros(4, dtype=complex)
-        for t in range(1, 4):
-            want[4 - t] += series[t]
-        want_full = np.zeros(5, dtype=complex)
-        want_full[: 4] = 0
-        # direct: coefficient of chi^(4-t) from chibar^t components
-        want_full = np.zeros(max(got.size, 5), dtype=complex)
-        for t in range(1, 5):
-            want_full[4 - t] += series[t]
-        got_pad = np.zeros_like(want_full)
-        got_pad[: got.size] = got
-        assert np.max(np.abs(got_pad - want_full)) < 1e-12
-        back = project_minus(x, 0)
-        assert np.max(np.abs(minus_element_coeffs(back, 50)
-                             - minus_element_coeffs(x, 50))) < 1e-14
-
-
 @pytest.fixture(scope="module")
 def one_pole_factor():
     return wiener_hopf_factor(TrigSymbol.from_cosine([1.25, -1.0]))
@@ -131,54 +57,6 @@ def one_pole_factor():
 def two_pole_factor():
     # inside roots 0.5 and -0.35: degree-2 positive symbol
     return wiener_hopf_factor(symbol_from_inside_roots([0.5, -0.35]))
-
-
-class TestHankelApply:
-    def test_one_pole_closed_form(self, one_pole_factor):
-        N = 9
-        x = RationalHardyElement(side="plus", terms=((0.5, 1, 1.0 + 0j),))
-        img = hankel_apply(one_pole_factor, N, x, "forward")
-        ((w, h, c),) = img.terms
-        assert h == 1 and abs(w - 0.5) < 1e-12
-        assert abs(c - 0.5 ** (N + 2)) < 1e-15
-        back = hankel_apply(one_pole_factor, N, img, "backward")
-        ((w2, h2, c2),) = back.terms
-        assert abs(c2 - 0.5 ** (2 * N + 4)) < 1e-18
-
-    def test_zero(self, one_pole_factor):
-        z = RationalHardyElement.zero("plus")
-        assert hankel_apply(one_pole_factor, 5, z, "forward").is_zero()
-
-    def test_forward_vs_truncation_oracle(self, two_pole_factor):
-        fac = two_pole_factor
-        N = 6
-        dim = 128
-        plus = [w for w, s in fac.g1_factors for _ in range(s)]
-        minus = [a for a, s in fac.g2_factors for _ in range(s)]
-        P = brute_hankel_product(plus, minus, fac.scale * fac.phase, N, dim)
-        for w, s in fac.g1_factors:
-            e = RationalHardyElement(side="plus", terms=((w, 1, 1.0 + 0j),))
-            img = hankel_apply(
-                fac, N, hankel_apply(fac, N, e, "forward"), "backward")
-            got = plus_element_coeffs(img, dim)
-            col = P @ (w ** np.arange(dim))
-            assert np.max(np.abs(got - col)) < 1e-9
-
-    def test_stability_of_pole_set(self, two_pole_factor):
-        fac = two_pole_factor
-        g1_poles = {w for w, _ in fac.g1_factors}
-        g2_poles = {a for a, _ in fac.g2_factors}
-        x = RationalHardyElement(
-            side="plus", terms=tuple((w, 1, 1.0 + 0j) for w in g1_poles))
-        img = hankel_apply(fac, 7, x, "forward")
-        assert {w for w, _, _ in img.terms} <= g2_poles
-        back = hankel_apply(fac, 7, img, "backward")
-        assert {w for w, _, _ in back.terms} <= g1_poles
-
-    def test_membership_required(self, one_pole_factor):
-        bad = RationalHardyElement(side="plus", terms=((0.7, 1, 1.0 + 0j),))
-        with pytest.raises(Exception):
-            hankel_apply(one_pole_factor, 4, bad, "forward")
 
 
 class TestProductMatrix:
@@ -200,18 +78,14 @@ class TestProductMatrix:
         assert H.dim == 0 and H.norm2 == 0.0
 
     def test_matches_truncation_oracle(self, two_pole_factor):
+        # basis-free: M's eigenvalues are the nonzero ones of the operator
         fac = two_pole_factor
         N = 5
-        dim = 128
-        plus = [w for w, s in fac.g1_factors for _ in range(s)]
-        minus = [a for a, s in fac.g2_factors for _ in range(s)]
-        P = brute_hankel_product(plus, minus, fac.scale * fac.phase, N, dim)
+        P = _brute_product(fac, N, 128)
         M = hankel_product_matrix(fac, N).entries
-        B = np.array([[w ** k for w, _ in fac.g1_factors]
-                      for k in range(dim)])
-        lhs = P @ B
-        rhs = B @ M
-        assert np.max(np.abs(lhs - rhs)) < 1e-9
+        got = np.sort_complex(np.linalg.eigvals(M))
+        want = largest_eigenvalues(P, M.shape[0])
+        assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
 
     def test_norm_decay_slope(self, two_pole_factor):
         rho = two_pole_factor.rho
@@ -223,9 +97,21 @@ class TestProductMatrix:
 
     def test_basis_dimension(self):
         fac = wiener_hopf_factor(symbol_from_inside_roots([0.5, 0.5, -0.3]))
-        assert len(stable_basis(fac)) == 3
         H = hankel_product_matrix(fac, 8)
+        assert H.dim == 3
         assert H.entries.shape == (3, 3)
+
+    @pytest.mark.parametrize("roots, N", [
+        ([0.55 + 0.25j, 0.55 - 0.25j, -0.4], 14),
+        ([0.3 + 0.6j, -0.7, 0.2j], 20),
+    ])
+    def test_norm_is_operator_norm(self, roots, N):
+        # complex poles: the Gram weighting must give the 2-norm of the
+        # composed maps on the whole space (their range is E)
+        fac = wiener_hopf_factor(symbol_from_inside_roots(roots))
+        want = np.linalg.norm(_brute_product(fac, N, 200), 2)
+        got = hankel_product_matrix(fac, N).norm2
+        assert abs(got - want) <= 1e-10 * want
 
 
 class TestInvertApply:
@@ -327,7 +213,6 @@ class TestInverseEntry:
     def test_mismatched_pair_against_dense(self):
         # a complex (non-Hermitian-symbol) split with different pole families
         # on the two sides; the machinery has no realness shortcut to hide in
-        from toeplitz_spectra.hankel_inversion import _FactorPair
         pair = _FactorPair(plus=((0.9, 1), (0.92, 1)),
                            minus=((0.3, 1), (0.5, 1)))
         N = 6
@@ -340,7 +225,6 @@ class TestInverseEntry:
     def test_neumann_condition_raised(self):
         # opposite-phase clustered pole families drive the product norm far
         # above one at small order
-        from toeplitz_spectra.hankel_inversion import _FactorPair
         pair = _FactorPair(plus=((0.9, 1), (0.94, 1)),
                            minus=((-0.9, 1), (-0.94, 1)))
         N = 0
@@ -353,3 +237,63 @@ class TestInverseEntry:
         inv = dense_invert(_pair_toeplitz(pair, N))
         val = inverse_entry(pair, N, 0, 0, norm_check=False)
         assert abs(val - inv[0, 0]) < 1e-10
+
+
+class TestStateSpaceForm:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_property_against_dense(self, data):
+        # unpaired complex inside roots, so the symbol is complex Hermitian
+        n = data.draw(st.integers(1, 6))
+        double = n < 6 and data.draw(st.booleans())
+        mods = data.draw(st.lists(st.floats(0.05, 0.9), min_size=n,
+                                  max_size=n))
+        args = data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n,
+                                  max_size=n))
+        roots = np.array(mods) * np.exp(1j * np.array(args))
+        gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(n)
+        assume(gaps.min() >= 0.01)
+        mult = [2 if double and i == 0 else 1 for i in range(n)]
+        pair = _FactorPair(plus=tuple(zip(np.conj(roots), mult)),
+                           minus=tuple(zip(roots, mult)),
+                           scale_plus=data.draw(st.floats(0.5, 2.0)))
+        N = data.draw(st.integers(sum(mult), 64))
+        assume(hankel_product_matrix(pair, N).norm2 < 1.0)   # certified
+        T = _pair_toeplitz(pair, N)
+        inv = dense_invert(T)
+        cols = np.array([invert_apply(pair, N, np.eye(N + 1)[l, : l + 1])
+                         for l in range(N + 1)]).T
+        idx = sorted({0, N // 3, N // 2, N - 1, N})
+        ents = np.array([[inverse_entry(pair, N, k, l) for l in idx]
+                         for k in idx])
+        gap = max(np.max(np.abs(cols - inv)),
+                  np.max(np.abs(ents - inv[np.ix_(idx, idx)])))
+        # the dense oracle is itself only good to about cond * eps
+        tol = 1e-9 + np.linalg.cond(T.dense()) * np.finfo(float).eps
+        assert gap <= tol * np.max(np.abs(inv))
+
+    @pytest.mark.parametrize("roots, N", [([0.6, 0.61, 0.62], 40),
+                                          ([0.5, 0.5001], 30)])
+    def test_close_roots_against_dense(self, roots, N):
+        # the partial-fraction route lost 2.3e-8 on the first symbol and
+        # raised DegeneratePoles on the second
+        sym = symbol_from_inside_roots(roots)
+        fac = wiener_hopf_factor(sym)
+        inv = dense_invert(build(sym, N))
+        got = np.array([[inverse_entry(fac, N, k, l) for l in range(N + 1)]
+                        for k in range(N + 1)])
+        assert np.max(np.abs(got - inv)) <= 1e-8
+
+    def test_entries_independent_of_call_order(self):
+        # a point query with and without building the context through
+        # hankel_product_matrix first must give bit-identical entries
+        roots = [0.6 + 0.2j, -0.35 + 0.5j, 0.8j, -0.7 - 0.1j]
+        fac = wiener_hopf_factor(symbol_from_inside_roots(roots, 1.3))
+        N = 1024
+        queries = [(N, N), (N - 2, N), (400, 400), (3, 900)]
+        _cached_context.cache_clear()
+        plain = [inverse_entry(fac, N, k, l) for k, l in queries]
+        _cached_context.cache_clear()
+        hankel_product_matrix(fac, N)
+        traced = [inverse_entry(fac, N, k, l) for k, l in queries]
+        assert plain == traced

@@ -10,7 +10,6 @@ from toeplitz_spectra.errors import (
     NotHermitian,
 )
 from toeplitz_spectra.spectra import (
-    characteristic_matrix,
     characteristic_matrix_from_omegas,
     characterize,
     det_equation_roots,
@@ -25,7 +24,11 @@ from toeplitz_spectra.spectra import (
 from toeplitz_spectra.symbol_core import TrigSymbol, aberth_roots
 from toeplitz_spectra.toeplitz_core import build, dense_det
 
-from helpers import brute_hankel_product, char_poly_coeffs
+from helpers import (
+    brute_hankel_product,
+    char_poly_coeffs,
+    largest_eigenvalues,
+)
 
 
 def laplacian_spectrum(N):
@@ -174,7 +177,7 @@ class TestCharacteristicMatrix:
     def test_damping_to_zero(self):
         sym = TrigSymbol.from_cosine([2.0, -2.0])
         chr = characterize(sym, 0.8, 4)
-        M = characteristic_matrix(chr, 4, R=1e-3)
+        M = characteristic_matrix_from_omegas(chr.omegas, 4, R=1e-3)
         assert np.max(np.abs(M)) < 1e-12
 
     def test_stacked_omegas_match_single_calls(self):
@@ -198,16 +201,23 @@ class TestCharacteristicMatrix:
         assert resid < 1e-6
 
     def test_matches_rational_machinery(self):
-        # same matrix through the exact rational-calculus route
+        # the same operator through the state-space inversion route; the
+        # bases differ, so compare spectra, also with the truncation oracle
         from toeplitz_spectra.hankel_inversion import (
             _FactorPair, hankel_product_matrix)
         om = np.array([0.6 + 0.3j, -0.45 + 0.1j, 0.2 - 0.5j])
         N = 5
-        M1 = characteristic_matrix_from_omegas(om, N)
+        closed = np.sort_complex(np.linalg.eigvals(
+            characteristic_matrix_from_omegas(om, N)))
         pair = _FactorPair(plus=tuple((w, 1) for w in om),
                            minus=tuple((w, 1) for w in om))
-        M2 = hankel_product_matrix(pair, N).entries
-        assert np.max(np.abs(M1 - M2)) < 1e-12
+        state = np.sort_complex(np.linalg.eigvals(
+            hankel_product_matrix(pair, N).entries))
+        brute = largest_eigenvalues(
+            brute_hankel_product(list(om), list(om), 1.0, N, dim=64), om.size)
+        scale = np.max(np.abs(closed))
+        assert np.max(np.abs(state - closed)) < 1e-12 * scale
+        assert np.max(np.abs(brute - closed)) < 1e-9 * scale
 
     def test_excluded_products(self):
         sym = TrigSymbol.from_cosine([2.0, -2.0])
