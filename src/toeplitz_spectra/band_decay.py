@@ -5,6 +5,28 @@ fall off geometrically in |k - l| with base rho = max inside-root modulus;
 this module measures that law (least-squares slope of log max-offset
 magnitudes) and extends it to strictly positive non-polynomial symbols via a
 cepstral polynomial surrogate |P|^2 ~ f.
+
+Whole inverse from one column.  A symbol here is real on the circle
+(``TrigSymbol`` enforces Hermitian coefficients) and has no zeros there, so
+it keeps one sign and T_N is Hermitian definite: positive definite where
+f > 0, negative definite where f < 0.  Then x = T_N^{-1} e_0 has a real
+nonzero x_0 (negative for a negative symbol), and the Gohberg-Semencul
+formula gives every entry from x alone: with y = (0, conj(x_N), ...,
+conj(x_1)),
+
+    T_N^{-1}[k, k + d] = (1/x_0) sum_{j <= k} (x_j conj(x_{j+d})
+                                               - y_j conj(y_{j+d})).
+
+Skewed layout.  The upper diagonals of an (N+1) x (N+1) matrix A are held
+as the rows of an (N+1) x (N+1) array, D[d, k] = A[k, k + d].  Entries with
+k + d > N are padding that never exceeds the row's largest modulus, so
+``np.abs(D).max(axis=1)`` gives every offset maximum at once.  For the
+formula above the rows are one ``np.cumsum`` along k of the products
+x_j conj(x_{j+d}) - y_j conj(y_{j+d}), read through ``sliding_window_view``
+over zero-padded conj(x) and conj(y); the zero padding makes each product
+vanish for j + d > N, so the tail of a row repeats its last entry and no
+mask is needed.  The cost is O(N^2) after one ``invert_apply`` call, with at
+most two (N+1)^2 complex arrays alive.
 """
 
 from __future__ import annotations
@@ -15,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ApproxFailure, WindowTooSmall
 from .hankel_inversion import invert_apply
@@ -92,32 +115,68 @@ class DecayReport:
         return abs(self.slope - self.target)
 
 
-def _offset_magnitudes(inv: np.ndarray):
-    n = inv.shape[0]
-    out = []
-    for d in range(n):
-        out.append(float(np.max(np.abs(np.diagonal(inv, offset=d)))))
-    return out
+def _gs_diagonals(x: np.ndarray) -> np.ndarray:
+    """Skewed layout of T_N^{-1} from its first column x (Gohberg-Semencul)."""
+    n = x.size
+    y = np.zeros_like(x)
+    y[1:] = np.conj(x[:0:-1])
+    pad = np.zeros(2 * n - 1, dtype=complex)
+    pad[:n] = np.conj(x)
+    D = np.multiply(sliding_window_view(pad, n), x)
+    pad[:n] = np.conj(y)
+    D -= np.multiply(sliding_window_view(pad, n), y)
+    np.cumsum(D, axis=1, out=D)
+    D /= x[0].real
+    return D
 
 
-def _fit_slope(offsets, mags, lo, hi):
-    ds, ys = [], []
-    for d, m in zip(offsets, mags):
-        if lo <= d <= hi and m > 1e-250:
-            ds.append(d)
-            ys.append(math.log(m))
-    if len(ds) < 2:
+def _skewed(a: np.ndarray) -> np.ndarray:
+    """Skewed layout of a square matrix, zero where k + d > N.
+
+    Read from the row-major upper triangle followed by N + 1 zeros: the
+    entry at flat index d + k (N + 2) is a[k, k + d] for k + d <= N, and
+    otherwise a zeroed lower-triangle entry or the padding.
+    """
+    n = a.shape[0]
+    flat = np.zeros(n * (n + 1), dtype=a.dtype)
+    flat[: n * n] = np.triu(a).ravel()
+    return sliding_window_view(flat, n * n + 1)[:, :: n + 1]
+
+
+def _hermitian_from_diagonals(D: np.ndarray) -> np.ndarray:
+    """Full Hermitian matrix whose upper diagonals are the rows of D."""
+    k, l = np.triu_indices(D.shape[0])
+    full = np.empty(D.shape, dtype=D.dtype)
+    full[l, k] = np.conj(D[l - k, k])
+    full[k, l] = D[l - k, k]
+    return full
+
+
+def _offset_maxima(D: np.ndarray) -> np.ndarray:
+    """max |A[k, k + d]| for every offset d, from the skewed layout D of A."""
+    return np.abs(D).max(axis=1)
+
+
+def _fit_slope(mags: np.ndarray, lo: int, hi: int):
+    d = np.arange(mags.size)
+    keep = (d >= lo) & (d <= hi) & (mags > 1e-250)
+    if keep.sum() < 2:
         return None
-    return float(np.polyfit(ds, ys, 1)[0])
+    return float(np.polyfit(d[keep], np.log(mags[keep]), 1)[0])
 
 
 def band_decay_report(sym: BandSymbol, N: int, *,
                       check_oracle: bool = False) -> DecayReport:
     """Measured off-diagonal decay of the inverse of the order-N section.
 
-    The inverse is produced columnwise by the structured inversion formula;
-    ``check_oracle`` additionally compares it against the dense LU inverse
-    and stores the max discrepancy.  The slope is fitted on offsets
+    The first column of the inverse comes from one ``invert_apply`` call (the
+    structured inversion formula, with its norm check and residual
+    refinement); every upper diagonal then follows from the
+    Gohberg-Semencul formula for the Hermitian definite section, as one
+    cumulative sum over the skewed layout (see the module docstring).
+    ``check_oracle`` additionally compares the full inverse, rebuilt from
+    those diagonals by Hermitian symmetry, against the dense LU inverse and
+    stores the max discrepancy.  The slope is fitted on offsets
     d in [n0 + 2, N // 2] (WindowTooSmall if that range is empty).
     """
     n0 = sym.n0
@@ -131,20 +190,16 @@ def band_decay_report(sym: BandSymbol, N: int, *,
     lo, hi = n0 + 2, N // 2
     if lo > hi:
         raise WindowTooSmall(f"no offsets in [{lo}, {hi}] at order N={N}")
-    fac = sym.factorization
-    inv = np.empty((N + 1, N + 1), dtype=complex)
-    for l in range(N + 1):
-        Q = np.zeros(l + 1)
-        Q[l] = 1.0
-        inv[:, l] = invert_apply(fac, N, Q)
+    D = _gs_diagonals(invert_apply(sym.factorization, N, [1]))
     oracle_gap = None
     if check_oracle:
-        oracle_gap = float(np.max(np.abs(inv - dense_invert(build(
-            sym.symbol, N)))))
-    mags = _offset_magnitudes(inv)
-    slope = _fit_slope(range(N + 1), mags, lo, hi)
-    return DecayReport(offsets=tuple(range(N + 1)), magnitudes=tuple(mags),
-                       fit_window=(lo, hi), slope=slope,
+        oracle_gap = float(np.max(np.abs(
+            _hermitian_from_diagonals(D)
+            - dense_invert(build(sym.symbol, N)))))
+    mags = _offset_maxima(D)
+    return DecayReport(offsets=tuple(range(N + 1)),
+                       magnitudes=tuple(mags.tolist()),
+                       fit_window=(lo, hi), slope=_fit_slope(mags, lo, hi),
                        target=math.log(sym.rho), oracle_gap=oracle_gap)
 
 
@@ -205,17 +260,16 @@ def corollary_decay_check(f: RegularSymbol, N: int, rho_target: float, *,
         raise ValueError("rho_target must exceed 1")
     approx_regular(f, eps)
     sym = f.truncate(N)
-    inv = dense_invert(build(sym, N))
-    mags = _offset_magnitudes(inv)
+    mags = _offset_maxima(_skewed(dense_invert(build(sym, N))))
     lo, hi = 2, N // 2
     if lo > hi:
         raise WindowTooSmall(f"no offsets in [{lo}, {hi}] at order N={N}")
-    slope = _fit_slope(range(N + 1), mags, lo, hi)
-    C = max((m * rho_target ** d
-             for d, m in enumerate(mags) if lo <= d <= hi and m > 0),
-            default=0.0)
-    return DecayReport(offsets=tuple(range(N + 1)), magnitudes=tuple(mags),
-                       fit_window=(lo, hi), slope=slope,
+    d = np.arange(N + 1)
+    window = (d >= lo) & (d <= hi) & (mags > 0)
+    C = np.max(mags[window] * rho_target ** d[window], initial=0.0)
+    return DecayReport(offsets=tuple(range(N + 1)),
+                       magnitudes=tuple(mags.tolist()),
+                       fit_window=(lo, hi), slope=_fit_slope(mags, lo, hi),
                        target=-math.log(rho_target), bound_constant=float(C))
 
 

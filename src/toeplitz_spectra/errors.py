@@ -52,6 +52,19 @@ class LocalizationFailure(ToeplitzSpectraError):
     """An eigenvalue has no symbol antecedent within tolerance."""
 
 
+class FlatSymbol(LocalizationFailure):
+    """The symbol's range lies within the rounding of its section's spectrum.
+
+    ``span`` is the measured range max f - min f, ``rounding`` the rounding
+    level (N + 1) eps max|f| of the order-N section's eigenvalues.
+    """
+
+    def __init__(self, message, span=None, rounding=None):
+        super().__init__(message)
+        self.span = span
+        self.rounding = rounding
+
+
 class ExcludedLambda(ToeplitzSpectraError):
     """Spectral parameter falls in a region excluded by the hypotheses."""
 

@@ -34,6 +34,7 @@ import scipy.optimize
 from .errors import (
     EigenFailure,
     ExcludedLambda,
+    FlatSymbol,
     LocalizationFailure,
     MissedRoots,
     NonUniqueMinimum,
@@ -161,7 +162,10 @@ def grid_localize(sym: TrigSymbol, N: int, eig: EigenDecomposition
     For every eigenvalue the antecedents on all monotone branches are
     bisected and the assignment eigenvalue -> (branch, k) minimizing the
     total grid distance is chosen, injectively per branch.  Raises
-    LocalizationFailure when some eigenvalue has no antecedent slot.
+    LocalizationFailure when some eigenvalue has no antecedent slot, and its
+    subclass FlatSymbol up front when the symbol's range is within the
+    rounding (N + 1) eps max|f| of the section's eigenvalues: there every
+    antecedent is an artefact of rounding.
     """
     lams = eig.eigenvalues
     if sym.degree == 0:
@@ -172,7 +176,13 @@ def grid_localize(sym: TrigSymbol, N: int, eig: EigenDecomposition
     branches = monotone_branches(sym)
     fmin = min(min(fa, fb) for _, _, fa, fb in branches)
     fmax = max(max(fa, fb) for _, _, fa, fb in branches)
-    span = max(fmax - fmin, 1e-300)
+    span = fmax - fmin
+    rounding = (N + 1) * np.finfo(float).eps * max(abs(fmin), abs(fmax))
+    if span <= rounding:
+        raise FlatSymbol(
+            f"symbol range {span:.3e} is within the eigenvalue rounding "
+            f"{rounding:.3e} of the order-{N} section", span=span,
+            rounding=rounding)
     grid_step = np.pi / (N + 2)
     lam_c = np.clip(lams, fmin, fmax)
     outside = np.flatnonzero(np.abs(lam_c - lams) > 1e-9 * span)

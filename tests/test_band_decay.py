@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from toeplitz_spectra import band_decay
 from toeplitz_spectra.band_decay import (
     BandSymbol,
     RegularSymbol,
@@ -11,9 +13,32 @@ from toeplitz_spectra.band_decay import (
     perturbation_inequality_check,
 )
 from toeplitz_spectra.errors import ApproxFailure, WindowTooSmall
-from toeplitz_spectra.symbol_core import TrigSymbol
+from toeplitz_spectra.hankel_inversion import hankel_product_matrix
+from toeplitz_spectra.symbol_core import (RootSet, SpectralFactorization,
+                                          TrigSymbol)
+from toeplitz_spectra.toeplitz_core import build, dense_invert
 
 from helpers import symbol_from_inside_roots
+
+
+def _exact_band(roots, mult, scale):
+    """Band symbol scale * prod |1 - a chi|^2, factored from its own roots.
+
+    Built without root finding, so that a draw tests the report and not
+    ``wiener_hopf_factor`` on ill-conditioned roots.
+    """
+    sym = symbol_from_inside_roots(np.repeat(roots, mult), scale)
+    # the Laurent lift of |1 - a chi|^2 has its inside root at conj(a)
+    inside = tuple(zip(np.conj(roots), mult))
+    fac = SpectralFactorization(
+        scale=scale, phase=1.0 + 0j,
+        g1_factors=tuple((np.conj(a), s) for a, s in inside),
+        g2_factors=inside,
+        roots=RootSet(inside, tuple((1.0 / np.conj(a), s)
+                                    for a, s in inside)),
+        symbol=sym)
+    return BandSymbol(symbol=sym, roots=fac.roots, rho=fac.rho,
+                      factorization=fac)
 
 
 class TestBandDecayReport:
@@ -67,6 +92,58 @@ class TestBandDecayReport:
                 band = BandSymbol.from_symbol(symbol_from_inside_roots(roots))
                 rep = band_decay_report(band, N)
                 assert abs(rep.slope - np.log(band.rho)) < 0.08, (roots, N)
+
+    def test_negative_definite_section(self):
+        # f < 0: the section is negative definite and x_0 = T^{-1}[0, 0] < 0
+        neg = band_decay_report(
+            BandSymbol.from_symbol(TrigSymbol.from_cosine([-1.25, 1.0])), 60,
+            check_oracle=True)
+        pos = band_decay_report(
+            BandSymbol.from_symbol(TrigSymbol.from_cosine([1.25, -1.0])), 60)
+        assert neg.oracle_gap <= 1e-12
+        assert neg.magnitudes == pos.magnitudes
+
+    def test_one_invert_apply_call(self, monkeypatch):
+        calls = []
+        invert_apply = band_decay.invert_apply
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return invert_apply(*args, **kwargs)
+
+        band = BandSymbol.from_symbol(
+            TrigSymbol.from_cosine([2.85, -3.64, 0.8]))
+        monkeypatch.setattr(band_decay, "invert_apply", counting)
+        band_decay_report(band, 80)
+        assert len(calls) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_property_against_dense(self, data):
+        # unpaired complex inside roots, so the symbol is complex Hermitian
+        n = data.draw(st.integers(1, 6))
+        double = n < 6 and data.draw(st.booleans())
+        mods = data.draw(st.lists(st.floats(0.05, 0.9), min_size=n,
+                                  max_size=n))
+        args = data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n,
+                                  max_size=n))
+        roots = np.array(mods) * np.exp(1j * np.array(args))
+        gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(n)
+        assume(gaps.min() >= 0.01)
+        mult = [2 if double and i == 0 else 1 for i in range(n)]
+        band = _exact_band(roots, mult, data.draw(st.floats(0.5, 2.0)))
+        N = data.draw(st.integers(2 * band.n0 + 4, 64))
+        assume(hankel_product_matrix(band.factorization, N).norm2 < 1.0)
+        rep = band_decay_report(band, N, check_oracle=True)
+        T = build(band.symbol, N)
+        inv = dense_invert(T)
+        dense_mags = np.array([np.max(np.abs(np.diagonal(inv, offset=d)))
+                               for d in range(N + 1)])
+        # the dense oracle is itself only good to about cond * eps
+        tol = (1e-9 + np.linalg.cond(T.dense()) * np.finfo(float).eps) \
+            * np.max(np.abs(inv))
+        assert rep.oracle_gap <= tol
+        assert np.max(np.abs(np.array(rep.magnitudes) - dense_mags)) <= tol
 
 
 class TestApproxRegular:

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from toeplitz_spectra.errors import (
     ExcludedLambda,
+    FlatSymbol,
     LocalizationFailure,
     MissedRoots,
     NonUniqueMinimum,
@@ -136,7 +137,7 @@ class TestGridLocalize:
            N=st.integers(16, 256))
     def test_antecedents_and_slots_property(self, c0, c, top, sign, N):
         # the top coefficient is kept off zero: a symbol flat to rounding
-        # has all eigenvalues equal and too few grid slots near them
+        # is rejected with FlatSymbol (test_flat_symbol_rejected)
         cos_c = np.array([c0, *c, sign * top])
         sym = TrigSymbol.from_cosine(cos_c)
         try:
@@ -157,6 +158,20 @@ class TestGridLocalize:
         slots = [(loc.branch, loc.k) for loc in locs]
         assert len(set(slots)) == len(slots)
         assert all(0 <= loc.k <= N + 1 for loc in locs)
+
+    def test_flat_symbol_rejected(self):
+        # all 17 eigenvalues equal 3.0 and their antecedents coincide, so
+        # only three grid slots lie next to them
+        sym = TrigSymbol.from_cosine([3.0, 6.58e-18])
+        eig = hermitian_eigen(build(sym, 16).dense())
+        with pytest.raises(FlatSymbol) as err:
+            grid_localize(sym, 16, eig)
+        assert isinstance(err.value, LocalizationFailure)
+        assert 0.0 <= err.value.span <= err.value.rounding
+        # a range well above the eigenvalue rounding still localizes
+        sym = TrigSymbol.from_cosine([3.0, 1e-9])
+        locs = grid_localize(sym, 16, hermitian_eigen(build(sym, 16).dense()))
+        assert len(locs) == 17
 
     def test_out_of_range_eigenvalue(self):
         sym = TrigSymbol.from_cosine([2.0, -2.0])
