@@ -31,9 +31,8 @@ most two (N+1)^2 complex arrays alive.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,29 +50,39 @@ from .symbol_core import (
 )
 from .toeplitz_core import build, dense_invert
 
-log = logging.getLogger("toeplitz_spectra")
+# surrogate accuracies that the regular-symbol checks demand of approx_regular
+COROLLARY_EPS = 1e-8
+PERTURBATION_EPS = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
 class BandSymbol:
-    """Band symbol together with its root split and decay base rho."""
+    """Band symbol read through its factorization, with decay base rho."""
 
-    symbol: TrigSymbol
-    roots: RootSet
-    rho: float
-    factorization: SpectralFactorization = field(repr=False)
+    factorization: SpectralFactorization
 
     @classmethod
     def from_symbol(cls, sym: TrigSymbol, *, seed: int = 0) -> "BandSymbol":
         fac = wiener_hopf_factor(sym, seed=seed)
-        rho = fac.rho
-        if sym.degree > 0 and not (0.0 < rho < 1.0):
-            raise ValueError(f"decay base rho={rho} outside (0, 1)")
-        return cls(symbol=sym, roots=fac.roots, rho=rho, factorization=fac)
+        if sym.degree > 0 and not (0.0 < fac.rho < 1.0):
+            raise ValueError(f"decay base rho={fac.rho} outside (0, 1)")
+        return cls(fac)
+
+    @property
+    def symbol(self) -> TrigSymbol:
+        return self.factorization.symbol
+
+    @property
+    def roots(self) -> RootSet:
+        return self.factorization.roots
+
+    @property
+    def rho(self) -> float:
+        return self.factorization.rho
 
     @property
     def n0(self) -> int:
-        return self.symbol.degree
+        return self.factorization.n0
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +117,6 @@ class DecayReport:
     exact_band: bool = False
     bound_constant: Optional[float] = None
     oracle_gap: Optional[float] = None
-
-    def slope_error(self) -> Optional[float]:
-        if self.slope is None:
-            return None
-        return abs(self.slope - self.target)
 
 
 def _gs_diagonals(x: np.ndarray) -> np.ndarray:
@@ -163,6 +167,17 @@ def _fit_slope(mags: np.ndarray, lo: int, hi: int):
     if keep.sum() < 2:
         return None
     return float(np.polyfit(d[keep], np.log(mags[keep]), 1)[0])
+
+
+def _bound_constant(mags: np.ndarray, lo: int, hi: int, target: float
+                   ) -> float:
+    """C = max M(d) / e^{target d} over the nonzero M(d) with lo <= d <= hi.
+
+    The smallest C with M(d) <= C e^{target d} on the fit window.
+    """
+    d = np.arange(mags.size)
+    keep = (d >= lo) & (d <= hi) & (mags > 0)
+    return float(np.max(mags[keep] / np.exp(target * d[keep]), initial=0.0))
 
 
 def band_decay_report(sym: BandSymbol, N: int, *,
@@ -227,7 +242,7 @@ def approx_regular(f: RegularSymbol, eps: float, *,
     degree = 8
     best = np.inf
     while degree <= degree_cap:
-        p = cepstral_factor(f.sample_fn, degree, grid)
+        p = cepstral_factor(f.sample_fn, degree)
         pv = np.polynomial.polynomial.polyval(np.exp(1j * theta), p)
         err = float(np.max(np.abs(np.abs(pv) ** 2 - fv)))
         best = min(best, err)
@@ -247,30 +262,29 @@ def approx_regular(f: RegularSymbol, eps: float, *,
         achieved=best)
 
 
-def corollary_decay_check(f: RegularSymbol, N: int, rho_target: float, *,
-                          eps: float = 1e-8) -> DecayReport:
+def corollary_decay_check(f: RegularSymbol, N: int, rho_target: float
+                          ) -> DecayReport:
     """Decay report of the dense inverse of a regular-symbol section.
 
     Verifies the surrogate route first (approx_regular must succeed at
-    ``eps``), then measures M(d) on the dense inverse of T_N(f) and reports
-    the bound constant C = max M(d) * rho_target^d over the fit window
-    together with the fitted slope (target -log rho_target).
+    COROLLARY_EPS), then measures M(d) on the dense inverse of T_N(f) and
+    reports the bound constant C = max M(d) * rho_target^d over the fit
+    window together with the fitted slope (target -log rho_target).
     """
     if rho_target <= 1.0:
         raise ValueError("rho_target must exceed 1")
-    approx_regular(f, eps)
+    approx_regular(f, COROLLARY_EPS)
     sym = f.truncate(N)
     mags = _offset_maxima(_skewed(dense_invert(build(sym, N))))
     lo, hi = 2, N // 2
     if lo > hi:
         raise WindowTooSmall(f"no offsets in [{lo}, {hi}] at order N={N}")
-    d = np.arange(N + 1)
-    window = (d >= lo) & (d <= hi) & (mags > 0)
-    C = np.max(mags[window] * rho_target ** d[window], initial=0.0)
+    target = -math.log(rho_target)
     return DecayReport(offsets=tuple(range(N + 1)),
                        magnitudes=tuple(mags.tolist()),
                        fit_window=(lo, hi), slope=_fit_slope(mags, lo, hi),
-                       target=-math.log(rho_target), bound_constant=float(C))
+                       target=target,
+                       bound_constant=_bound_constant(mags, lo, hi, target))
 
 
 @dataclass(frozen=True)
@@ -287,8 +301,8 @@ class PerturbationCheck:
         return self.q < 1.0 and self.lhs <= self.rhs * (1.0 + 1e-12)
 
 
-def perturbation_inequality_check(f: RegularSymbol, N: int, *,
-                                  eps: float = 1e-6) -> PerturbationCheck:
+def perturbation_inequality_check(f: RegularSymbol, N: int
+                                  ) -> PerturbationCheck:
     """Check the inverse-swap bound between T_N(f) and its surrogate section.
 
     With D = T_N(|P|^2) - T_N(f) and q = ||T_N^-1(|P|^2) D||_2 < 1:
@@ -296,7 +310,7 @@ def perturbation_inequality_check(f: RegularSymbol, N: int, *,
         ||T_N^-1(f) - T_N^-1(|P|^2)||_2
             <= ||T_N^-1(|P|^2)||_2^2 ||D||_2 / (1 - q).
     """
-    p = approx_regular(f, eps)
+    p = approx_regular(f, PERTURBATION_EPS)
     sym_f = f.truncate(N)
     sym_p = modulus_squared_symbol(p)
     Tf = build(sym_f, N).dense()

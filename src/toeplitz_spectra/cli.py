@@ -2,6 +2,8 @@
 
 Every command reads a symbol literal (JSON object or @file), runs one
 pipeline, writes CSV to stdout or --out, and optionally a JSON summary.
+``invert --full`` builds the whole inverse as the decay report does: one
+structured column solve, then every entry by the Gohberg-Semencul formula.
 Exit codes: 0 success, 1 usage or input error, 2 a numerical check failed
 (diagnostics go to the JSON summary and stderr).
 """
@@ -216,9 +218,8 @@ def _cmd_invert(args) -> int:
             summary["oracle_gap"] = gap
             ok = gap <= 1e-8
     else:
-        inv = np.empty((N + 1, N + 1), dtype=complex)
-        for l in range(N + 1):
-            inv[:, l] = hi.invert_apply(fac, N, _unit_vector(l, N))
+        inv = bd._hermitian_from_diagonals(
+            bd._gs_diagonals(hi.invert_apply(fac, N, [1])))
         csv_text = "".join(
             ",".join(_fmt(v) for v in row) + "\n" for row in inv)
         if args.check_oracle:
@@ -254,10 +255,8 @@ def _cmd_decay(args) -> int:
                       else -np.log(args.rho))
         else:
             target = rep.target
-        window = [d for d in rep.offsets
-                  if rep.fit_window[0] <= d <= rep.fit_window[1]]
-        C = max((rep.magnitudes[d] / np.exp(target * d) for d in window),
-                default=0.0)
+        C = bd._bound_constant(np.array(rep.magnitudes), *rep.fit_window,
+                               target)
         passed = rep.exact_band or (
             rep.slope is not None and abs(rep.slope - target) <= args.slope_tol)
         if args.check_oracle and rep.oracle_gap is not None:
@@ -266,7 +265,7 @@ def _cmd_decay(args) -> int:
             "N": N,
             "slope": rep.slope,
             "target": float(target),
-            "C": float(C),
+            "C": C,
             "exact_band": rep.exact_band,
             "oracle_gap": rep.oracle_gap,
             "pass": passed,
@@ -346,7 +345,8 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--entry", default=None, metavar="k,l")
     p.add_argument("--column", type=int, default=None)
-    p.add_argument("--full", action="store_true")
+    p.add_argument("--full", action="store_true",
+                   help="whole inverse from one column (Gohberg-Semencul)")
     p.set_defaults(fn=_cmd_invert)
 
     p = sub.add_parser("decay", help="inverse off-diagonal decay report")

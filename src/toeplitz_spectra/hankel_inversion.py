@@ -48,8 +48,8 @@ exceeds RESIDUAL_TOL is refined, at most MAX_REFINEMENT_STEPS times, until
 it does not.
 
 Contexts hold the series and the small matrices of one (factorization, N)
-pair.  A column inverse makes N + 1 calls and a point query several with the
-same pair, so contexts are cached.  The cache is keyed by the value of a
+pair.  A point query makes several calls with the same pair, so contexts are
+cached.  The cache is keyed by the value of a
 ``SpectralFactorization`` (a frozen dataclass; equal factorizations share a
 context) and by the identity of a ``_FactorPair``, and it holds only a few
 contexts, each of O(N) memory.

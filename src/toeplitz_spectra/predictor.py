@@ -14,7 +14,7 @@ hat(h)(0..M).  Its two classical properties are exposed as checks:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +24,9 @@ from .symbol_core import TrigSymbol, inverse_series
 
 log = logging.getLogger("toeplitz_spectra")
 
+# relative rise between consecutive errors that still counts as non-increasing
+NON_INCREASING_SLACK = 0.10
+
 
 @dataclass(frozen=True, eq=False)
 class PredictorPoly:
@@ -31,8 +34,6 @@ class PredictorPoly:
 
     degree: int
     beta: np.ndarray
-    error_variance: float
-    source: TrigSymbol = field(repr=False)
 
     def __call__(self, z) -> np.ndarray:
         return np.polynomial.polynomial.polyval(z, self.beta)
@@ -73,17 +74,15 @@ def levinson(h: TrigSymbol, M: int) -> PredictorPoly:
         a = a_new
         E *= 1.0 - abs(kappa) ** 2
     beta = a / np.sqrt(E)
-    return PredictorPoly(degree=M, beta=beta, error_variance=E, source=h)
+    return PredictorPoly(degree=M, beta=beta)
 
 
-def property1_check(h: TrigSymbol, M: int, grid_size: Optional[int] = None
-                    ) -> float:
+def property1_check(h: TrigSymbol, M: int) -> float:
     """Max moment residual max_{|s|<=M} |hat(h)(s) - hat(1/|P_M|^2)(s)|."""
     P = levinson(h, M)
-    if grid_size is None:
-        grid_size = 1024
-        while grid_size < 16 * max(M, 1):
-            grid_size *= 2
+    grid_size = 1024
+    while grid_size < 16 * max(M, 1):
+        grid_size *= 2
     theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
     pv = np.abs(P.on_circle(theta)) ** 2
     if np.min(pv) <= 1e-14 * np.max(pv):
@@ -96,32 +95,6 @@ def property1_check(h: TrigSymbol, M: int, grid_size: Optional[int] = None
 
 
 @dataclass(frozen=True)
-class WienerClassEstimate:
-    """Computed constants for |beta_u| <= K/u^s and |gamma_u| <= K'/|u|^s."""
-
-    s: float
-    K: float
-    K_prime: float
-
-
-def estimate_wiener_class(beta: Sequence[complex], gamma: Sequence[complex],
-                          s: float) -> WienerClassEstimate:
-    """Smallest constants making the decay bounds hold on the given ranges.
-
-    ``beta`` is read from index 1 upward, ``gamma`` symmetric from index 1.
-    """
-    beta = np.asarray(beta, dtype=complex)
-    gamma = np.asarray(gamma, dtype=complex)
-    K = 0.0
-    for u in range(1, beta.size):
-        K = max(K, abs(beta[u]) * u ** s)
-    Kp = 0.0
-    for u in range(1, gamma.size):
-        Kp = max(Kp, abs(gamma[u]) * u ** s)
-    return WienerClassEstimate(s=s, K=float(K), K_prime=float(Kp))
-
-
-@dataclass(frozen=True)
 class Lemma1Report:
     """Per-order predictor-limit errors and the fitted log-log slope."""
 
@@ -129,9 +102,10 @@ class Lemma1Report:
     errors: tuple
     slope: Optional[float]
 
-    def non_increasing(self, slack: float = 0.10) -> bool:
+    def non_increasing(self) -> bool:
         e = self.errors
-        return all(e[i + 1] <= e[i] * (1.0 + slack) for i in range(len(e) - 1))
+        return all(e[i + 1] <= e[i] * (1.0 + NON_INCREASING_SLACK)
+                   for i in range(len(e) - 1))
 
 
 def lemma1_rate(h: TrigSymbol, g_inv_coeffs: Sequence[complex],

@@ -46,8 +46,12 @@ from .toeplitz_core import DenseMatrix, build
 log = logging.getLogger("toeplitz_spectra")
 
 CRIT_TOL = 1e-6
+RESID_TOL = 1e-6
+BOUNDARY_TOL = 1e-10
 # a root scan need not find eigenvalues this close to its window's edges
 ROOT_MARGIN = 1e-5
+BRANCH_GRID = 8193
+MINIMIZER_GRID = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -57,41 +61,27 @@ ROOT_MARGIN = 1e-5
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     eigenvalues: np.ndarray            # ascending
-    eigenvectors: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
         return self.eigenvalues.size
 
 
-def hermitian_eigen(M: DenseMatrix, want_vectors: bool = False
-                    ) -> EigenDecomposition:
-    """Eigenvalues (ascending, optionally vectors) of a Hermitian matrix.
+def hermitian_eigen(M: DenseMatrix) -> EigenDecomposition:
+    """Eigenvalues (ascending) of a Hermitian matrix.
 
-    Input must be Hermitian within 1e-12 (relative); vectors, when requested,
-    are residual-checked to 1e-9 * ||M||.
+    Input must be Hermitian within 1e-12 (relative).
     """
     M = np.asarray(M, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
     if np.max(np.abs(M - M.conj().T)) > 1e-12 * scale:
         raise NotHermitian("matrix is not Hermitian within 1e-12")
     try:
-        if want_vectors:
-            lam, V = np.linalg.eigh(M)
-        else:
-            lam = np.linalg.eigvalsh(M)
-            V = None
+        lam = np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     lam = lam.real
-    order = np.argsort(lam)
-    lam = lam[order]
-    if V is not None:
-        V = V[:, order]
-        resid = np.max(np.abs(M @ V - V * lam[None, :]))
-        if resid > 1e-9 * scale:
-            raise EigenFailure(f"eigenvector residual {resid:.2e} too large")
-    return EigenDecomposition(eigenvalues=lam, eigenvectors=V)
+    return EigenDecomposition(eigenvalues=lam[np.argsort(lam)])
 
 
 def _bisect(g: Callable[[np.ndarray], np.ndarray], lo, hi, steps: int
@@ -135,11 +125,11 @@ class GridLocation:
     eigenvalue: float = 0.0
 
 
-def monotone_branches(sym: TrigSymbol, n_grid: int = 8193):
+def monotone_branches(sym: TrigSymbol):
     """Maximal monotone pieces (a, b, f(a), f(b)) of the symbol on [0, pi]."""
-    theta = np.linspace(0.0, np.pi, n_grid)
+    theta = np.linspace(0.0, np.pi, BRANCH_GRID)
     df = sym.derivative(theta)
-    flat = (df[:-1] == 0.0) & (np.arange(n_grid - 1) > 0)
+    flat = (df[:-1] == 0.0) & (np.arange(BRANCH_GRID - 1) > 0)
     change = df[:-1] * df[1:] < 0
     # a derivative zero keeps the half whose left end has the left sign
     sign = np.sign(df[:-1][change])
@@ -243,25 +233,6 @@ def grid_localize(sym: TrigSymbol, N: int, eig: EigenDecomposition
 # characteristic matrix and determinant equation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class EigenCharacterization:
-    """Antecedent data of f - lambda for an even cosine polynomial.
-
-    ``antecedent_roots`` holds the partners chi_j with chi + 1/chi = 2 x_j
-    and |chi_j| >= 1 (unimodular exactly when the antecedent is real in
-    (-1, 1)); ``r`` counts them.
-    """
-
-    lam: float
-    antecedent_roots: tuple
-    r: int
-    hankel_matrix: np.ndarray
-
-    @property
-    def omegas(self) -> np.ndarray:
-        return np.array([1.0 / chi for chi in self.antecedent_roots])
-
-
 def _x_polynomial(sym: TrigSymbol) -> np.ndarray:
     """Ascending power-series coefficients of f as a polynomial in x = cos."""
     if not sym.parity or sym.degree == 0:
@@ -270,14 +241,13 @@ def _x_polynomial(sym: TrigSymbol) -> np.ndarray:
     return np.polynomial.chebyshev.cheb2poly(sym.cosine_coeffs())
 
 
-def _antecedent_partners(px: np.ndarray, lams, *,
-                         boundary_tol: float = 1e-10):
+def _antecedent_partners(px: np.ndarray, lams):
     """Partners omega (|omega| <= 1) of the roots of f(x) - lam, x = cos.
 
     ``px`` is f as a polynomial in x (``_x_polynomial``).  For S values
     ``lams`` returns the (S, d) partners and a length-S mask of
     the values excluded by the hypotheses: a partner of a root off (-1, 1)
-    within ``boundary_tol`` of the unit circle, or a partner product within
+    within BOUNDARY_TOL of the unit circle, or a partner product within
     1e-8 of 1.  The roots are the eigenvalues of the companion matrices of
     f(x) - lam (as in ``np.roots``), one stacked matrix per value.
     """
@@ -294,20 +264,20 @@ def _antecedent_partners(px: np.ndarray, lams, *,
     w1, w2 = x + disc, x - disc
     w = np.where(np.abs(w1) < np.abs(w2), w1, w2)
     om = np.where(real_in, np.cos(th) - 1j * np.sin(th), w)
-    on_circle = ~real_in & (np.abs(np.abs(w) - 1.0) < boundary_tol)
+    on_circle = ~real_in & (np.abs(np.abs(w) - 1.0) < BOUNDARY_TOL)
     prod = np.abs(om[:, :, None] * om[:, None, :] - 1.0)
     excluded = on_circle.any(axis=1) | (prod.min(axis=(1, 2)) < 1e-8)
     return om, excluded
 
 
-def characteristic_matrix_from_omegas(omegas: np.ndarray, N: int,
-                                      R: float = 1.0) -> np.ndarray:
-    """Closed-form r x r matrix of the composed Hankel maps at parameter R.
+def characteristic_matrix_from_omegas(omegas: np.ndarray, N: int
+                                      ) -> np.ndarray:
+    """Closed-form r x r matrix of the composed Hankel maps.
 
     ``omegas`` has shape (..., r); leading axes are batch axes and the
     result has shape (..., r, r).
     """
-    om = R * np.asarray(omegas, dtype=complex)
+    om = np.asarray(omegas, dtype=complex)
     eye = np.eye(om.shape[-1], dtype=bool)
     # [h, n] = 1 - om_n / om_h, 1 on the diagonal
     diff = np.where(eye, 1.0, 1.0 - om[..., None, :] / om[..., :, None])
@@ -322,27 +292,10 @@ def characteristic_matrix_from_omegas(omegas: np.ndarray, N: int,
     return V @ V
 
 
-def characterize(sym: TrigSymbol, lam: float, N: int, *, R: float = 1.0
-                 ) -> EigenCharacterization:
-    """Full antecedent/Hankel data of f - lambda at one spectral parameter."""
-    om, excluded = _antecedent_partners(_x_polynomial(sym), [lam])
-    if excluded[0]:
-        raise ExcludedLambda(
-            f"antecedent partner on the unit circle or partner product "
-            f"within 1e-8 of 1 at lambda={lam}")
-    chis = tuple(complex(1.0 / w) for w in om[0])
-    H = characteristic_matrix_from_omegas(om[0], N, R)
-    return EigenCharacterization(lam=float(lam), antecedent_roots=chis,
-                                 r=len(chis), hankel_matrix=H)
-
-
 @dataclass(frozen=True)
 class DetRootsResult:
     roots: tuple
     excluded: tuple           # (lo, hi) windows skipped around excluded values
-
-    def __iter__(self):
-        return iter(self.roots)
 
 
 def _critical_values(sym: TrigSymbol) -> list[float]:
@@ -374,15 +327,13 @@ def _det_normalized(px: np.ndarray, lams: np.ndarray, N: int):
 
 def det_equation_roots(sym: TrigSymbol, N: int,
                        lambda_window: tuple[float, float],
-                       n_samples: int = 2000, *,
-                       crit_tol: float = CRIT_TOL,
-                       resid_tol: float = 1e-6) -> DetRootsResult:
+                       n_samples: int = 2000) -> DetRootsResult:
     """All roots of det(I - M(lambda)) = 0 in a window of spectral parameters.
 
     The window is sampled and the determinant evaluated at all samples in
     one batch, the antecedent roots of every sample coming from one stack
     of companion-matrix eigenvalue problems.  Guard bands of width
-    ``crit_tol`` around critical values of the symbol are skipped (reported
+    CRIT_TOL around critical values of the symbol are skipped (reported
     in the result), and all sign changes of the phase-normalized real part
     are bisected together.  Refined roots must pass a determinant-residual
     test; their normalized imaginary part is asserted below 1e-8.  The root
@@ -398,7 +349,7 @@ def det_equation_roots(sym: TrigSymbol, N: int,
     px = _x_polynomial(sym)
     lams = np.linspace(lo, hi, n_samples)
     crit = np.array(_critical_values(sym))
-    guard = np.any(np.abs(lams[:, None] - crit) < crit_tol, axis=1)
+    guard = np.any(np.abs(lams[:, None] - crit) < CRIT_TOL, axis=1)
     Dn = np.full(n_samples, np.nan, dtype=complex)
     n_uni = np.zeros(n_samples, dtype=int)
     Dn[~guard], _, n_uni[~guard] = _det_normalized(px, lams[~guard], N)
@@ -418,7 +369,7 @@ def det_equation_roots(sym: TrigSymbol, N: int,
     for lam_root, Dn_r, D_r in zip(mids.tolist(), Dn_mids, D_mids):
         if np.isnan(D_r):
             continue
-        if abs(D_r) > resid_tol * scale:
+        if abs(D_r) > RESID_TOL * scale:
             log.debug("rejecting pseudo-crossing at lambda=%.8f |D|=%.2e",
                       lam_root, abs(D_r))
             continue
@@ -491,8 +442,8 @@ class MinEigenReport:
     f_theta0: float
 
 
-def _unique_minimizer(sym: TrigSymbol, n_grid: int = 8192) -> float:
-    theta = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
+def _unique_minimizer(sym: TrigSymbol) -> float:
+    theta = np.linspace(0.0, 2.0 * np.pi, MINIMIZER_GRID, endpoint=False)
     vals = sym(theta)
     fmin = float(vals.min())
     span = max(float(vals.max()) - fmin, 1e-300)
@@ -500,19 +451,19 @@ def _unique_minimizer(sym: TrigSymbol, n_grid: int = 8192) -> float:
     # collapse contiguous grid runs (and the wrap-around) into candidates
     groups = [[float(near[0])]] if near.size else []
     for t in near[1:]:
-        if t - groups[-1][-1] <= 2.5 * (2 * np.pi / n_grid):
+        if t - groups[-1][-1] <= 2.5 * (2 * np.pi / MINIMIZER_GRID):
             groups[-1].append(float(t))
         else:
             groups.append([float(t)])
     if len(groups) >= 2 and (groups[0][0] + 2 * np.pi - groups[-1][-1]
-                             <= 2.5 * (2 * np.pi / n_grid)):
+                             <= 2.5 * (2 * np.pi / MINIMIZER_GRID)):
         groups[0] = groups.pop() + groups[0]
     if len(groups) != 1:
         raise NonUniqueMinimum(
             f"{len(groups)} separated minimizer groups detected")
     center = groups[0][len(groups[0]) // 2]
     # parabolic refinement of the minimizer
-    h = 2 * np.pi / n_grid
+    h = 2 * np.pi / MINIMIZER_GRID
     for _ in range(60):
         f0, fp, fm = sym(center), sym(center + h), sym(center - h)
         denom = fp - 2 * f0 + fm

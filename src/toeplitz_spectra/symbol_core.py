@@ -35,6 +35,10 @@ UNIT_CIRCLE_TOL = 1e-8
 CLUSTER_TOL = 1e-6
 RECON_TOL = 1e-9
 PF_TOL = 1e-10
+ABERTH_MAX_ITER = 160
+ABERTH_TOL = 1e-13
+RANGE_GRID = 4096
+CEPSTRAL_GRID = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +146,9 @@ class TrigSymbol:
         out[1:] = 2.0 * self.coeffs[d + 1:].real
         return out
 
-    def range_on_grid(self, n: int = 4096) -> tuple[float, float]:
-        vals = self(np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
+    def range_on_grid(self) -> tuple[float, float]:
+        vals = self(np.linspace(0.0, 2.0 * np.pi, RANGE_GRID, endpoint=False))
         return float(vals.min()), float(vals.max())
-
-    def __add__(self, other: "TrigSymbol") -> "TrigSymbol":
-        d = max(self.degree, other.degree)
-        return TrigSymbol(self.padded(d) + other.padded(d))
-
-    def scaled(self, c: float) -> "TrigSymbol":
-        return TrigSymbol(c * self.coeffs)
 
 
 def fourier_coeffs(f: Callable[[np.ndarray], np.ndarray], d: int,
@@ -231,10 +228,6 @@ class LaurentPoly:
         c = np.array(sym.coeffs, dtype=complex)
         return cls(c, sym.degree)
 
-    @property
-    def leading(self) -> complex:
-        return complex(self.coeffs[-1])
-
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(z, self.coeffs)
 
@@ -258,19 +251,13 @@ class RootSet:
     def balanced(self) -> bool:
         return self.n_inside == self.n_outside
 
-    @property
-    def rho(self) -> float:
-        """Largest inside-root modulus."""
-        return max((abs(r) for r, _ in self.inside), default=0.0)
-
 
 def _poly_derivative(c: np.ndarray) -> np.ndarray:
     n = c.size - 1
     return c[1:] * np.arange(1, n + 1)
 
 
-def aberth_roots(coeffs: Sequence[complex], *, seed: int = 0,
-                 max_iter: int = 160, tol: float = 1e-13) -> np.ndarray:
+def aberth_roots(coeffs: Sequence[complex], *, seed: int = 0) -> np.ndarray:
     """All complex roots of a polynomial by simultaneous (Aberth) iteration.
 
     ``coeffs`` are ascending.  Deterministic for a fixed seed: the starting
@@ -297,7 +284,7 @@ def aberth_roots(coeffs: Sequence[complex], *, seed: int = 0,
     angles = 2.0 * np.pi * (np.arange(n_eff) + 0.5) / n_eff + 0.35
     z = radius * np.exp(1j * angles) * (1.0 + 1e-3 * rng.standard_normal(n_eff))
     ok = False
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         p = np.polynomial.polynomial.polyval(z, c)
         dp = np.polynomial.polynomial.polyval(z, dc)
         dp = np.where(dp == 0, 1e-300, dp)
@@ -311,7 +298,7 @@ def aberth_roots(coeffs: Sequence[complex], *, seed: int = 0,
         z = z - delta
         if not np.all(np.isfinite(z)):
             raise RootFindFailure("iteration produced non-finite root estimates")
-        if np.max(np.abs(delta)) <= tol * max(1.0, np.max(np.abs(z))):
+        if np.max(np.abs(delta)) <= ABERTH_TOL * max(1.0, np.max(np.abs(z))):
             ok = True
             break
     if not ok:
@@ -368,29 +355,28 @@ def _newton_polish(c: np.ndarray, z0: complex, multiplicity: int) -> complex:
     return z
 
 
-def laurent_roots(K: LaurentPoly, unit_circle_tol: float = UNIT_CIRCLE_TOL,
-                  cluster_tol: float = CLUSTER_TOL, *, seed: int = 0) -> RootSet:
+def laurent_roots(K: LaurentPoly, *, seed: int = 0) -> RootSet:
     """Root set of K with multiplicities and inside/outside classification.
 
     Simultaneous iteration feeds a geometric clustering pass that recovers
     multiplicities; each cluster is then re-polished by Newton on the
     derivative of matching order.  Roots whose modulus is within
-    ``unit_circle_tol`` of 1 abort the construction.
+    UNIT_CIRCLE_TOL of 1 abort the construction.
     """
     if K.coeffs.size - 1 < 1:
         raise ValueError("laurent_roots needs degree >= 1")
     raw = aberth_roots(K.coeffs, seed=seed)
-    clusters = _cluster(raw, cluster_tol)
+    clusters = _cluster(raw, CLUSTER_TOL)
     polished = [(_newton_polish(K.coeffs, z, m), m) for z, m in clusters]
     # polishing can occasionally merge neighbouring clusters; re-merge
     merged = _cluster(
-        np.array([z for z, m in polished for _ in range(m)]), cluster_tol)
+        np.array([z for z, m in polished for _ in range(m)]), CLUSTER_TOL)
     scale = float(np.sum(np.abs(K.coeffs)))
     inside, outside = [], []
     for z, m in merged:
-        if abs(abs(z) - 1.0) < unit_circle_tol:
+        if abs(abs(z) - 1.0) < UNIT_CIRCLE_TOL:
             raise UnitModulusRoot(
-                f"root {z} has modulus within {unit_circle_tol} of 1")
+                f"root {z} has modulus within {UNIT_CIRCLE_TOL} of 1")
         resid = abs(K(z)) / (scale * max(1.0, abs(z)) ** (K.coeffs.size - 1))
         if resid > 1e-7:
             raise RootFindFailure(f"residual {resid:.2e} too large at root {z}")
@@ -404,13 +390,12 @@ def laurent_roots(K: LaurentPoly, unit_circle_tol: float = UNIT_CIRCLE_TOL,
 # partial fractions with repeated poles
 # ---------------------------------------------------------------------------
 
-def partial_fractions(poles: Sequence[tuple[complex, int]],
-                      pf_tol: float = PF_TOL, *, verify: bool = True):
+def partial_fractions(poles: Sequence[tuple[complex, int]]):
     """Expand 1 / prod_j (1 - w_j z)^{m_j} into sum_{j,h} c_{j,h}/(1 - w_j z)^h.
 
     Coefficients come from derivative (residue) formulas at each pole order.
-    The expansion is verified at 16 deterministic points on |z| = 0.99 unless
-    ``verify`` is disabled.
+    The expansion is verified to PF_TOL at 16 deterministic points on
+    |z| = 0.99.
 
     Returns a list of (pole, order, coefficient) triples.
     """
@@ -447,7 +432,7 @@ def partial_fractions(poles: Sequence[tuple[complex, int]],
             t = mj - h
             d_t = (-1.0 / wj) ** t * G[t] / math.factorial(t)
             out.append((wj, h, complex(d_t)))
-    if verify and poles:
+    if poles:
         rng = np.random.default_rng(1234)
         z = 0.99 * np.exp(2j * np.pi * rng.random(16))
         lhs = np.ones_like(z)
@@ -457,9 +442,9 @@ def partial_fractions(poles: Sequence[tuple[complex, int]],
         for w, h, c in out:
             rhs = rhs + c / (1.0 - w * z) ** h
         resid = np.max(np.abs(lhs - rhs)) / max(1.0, np.max(np.abs(lhs)))
-        if resid > pf_tol:
+        if resid > PF_TOL:
             raise DegeneratePoles(
-                f"partial-fraction residual {resid:.2e} exceeds {pf_tol}")
+                f"partial-fraction residual {resid:.2e} exceeds {PF_TOL}")
     return out
 
 
@@ -545,14 +530,14 @@ class SpectralFactorization:
         return self.scale * self.eval_g1(theta) * self.eval_g2(theta)
 
 
-def wiener_hopf_factor(sym: TrigSymbol, *, seed: int = 0,
-                       recon_tol: float = RECON_TOL) -> SpectralFactorization:
+def wiener_hopf_factor(sym: TrigSymbol, *, seed: int = 0
+                       ) -> SpectralFactorization:
     """Split a circle-root-free real symbol into C * g1 * g2.
 
     The inside roots (with multiplicities) of the symbol's Laurent lift
     define both factors; the scale is normalized real positive, with any
     leftover unimodular phase absorbed into g1.  Reconstruction against the
-    symbol on a 1024-point grid must hold to ``recon_tol`` * sup|f|.
+    symbol on a 1024-point grid must hold to RECON_TOL * sup|f|.
     """
     if sym.degree == 0:
         c = sym.coeff(0)
@@ -581,7 +566,7 @@ def wiener_hopf_factor(sym: TrigSymbol, *, seed: int = 0,
     ratio = fvals / prod
     c_raw = complex(ratio[int(np.argmax(np.abs(prod)))])
     sup = float(np.max(np.abs(fvals)))
-    if np.max(np.abs(ratio - c_raw)) > recon_tol * max(sup, 1e-30):
+    if np.max(np.abs(ratio - c_raw)) > RECON_TOL * max(sup, 1e-30):
         raise UnbalancedWinding(
             "factor product does not reconstruct the symbol; "
             "root data is inconsistent")
@@ -594,8 +579,8 @@ def wiener_hopf_factor(sym: TrigSymbol, *, seed: int = 0,
 # cepstral analytic factor (shared by the regular-symbol machinery)
 # ---------------------------------------------------------------------------
 
-def cepstral_factor(f: Callable[[np.ndarray], np.ndarray], degree: int,
-                    grid_size: int = 2048) -> np.ndarray:
+def cepstral_factor(f: Callable[[np.ndarray], np.ndarray], degree: int
+                    ) -> np.ndarray:
     """Analytic-factor coefficients of a strictly positive circle function.
 
     Returns p_0..p_degree with P(chi) = sum p_u chi^u approximating the outer
@@ -603,15 +588,15 @@ def cepstral_factor(f: Callable[[np.ndarray], np.ndarray], degree: int,
     |P|^2 ~ f.  Pure coefficient computation; callers enforce their own
     accuracy targets.
     """
-    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    theta = 2.0 * np.pi * np.arange(CEPSTRAL_GRID) / CEPSTRAL_GRID
     vals = np.asarray(f(theta), dtype=float)
     if np.min(vals) <= 0:
         raise ValueError("cepstral factor needs a strictly positive function")
-    chat = np.fft.fft(np.log(vals)) / grid_size
-    half = grid_size // 2
-    analytic = np.zeros(grid_size, dtype=complex)
+    chat = np.fft.fft(np.log(vals)) / CEPSTRAL_GRID
+    half = CEPSTRAL_GRID // 2
+    analytic = np.zeros(CEPSTRAL_GRID, dtype=complex)
     analytic[0] = chat[0] / 2.0
     analytic[1:half] = chat[1:half]
-    g_on_grid = np.exp(np.fft.ifft(analytic * grid_size))
-    p = np.fft.fft(g_on_grid) / grid_size
+    g_on_grid = np.exp(np.fft.ifft(analytic * CEPSTRAL_GRID))
+    p = np.fft.fft(g_on_grid) / CEPSTRAL_GRID
     return np.asarray(p[: degree + 1])

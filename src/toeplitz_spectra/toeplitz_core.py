@@ -44,20 +44,12 @@ class ToeplitzMatrix:
         n = self.order + 1
         return (n, n)
 
-    def entry(self, k: int, l: int) -> complex:
-        return complex(self.coeffs[self.order + k - l])
-
     def dense(self) -> DenseMatrix:
         c = self.coeffs
         N = self.order
         col = c[N:]           # hat(0..N)
         row = c[N::-1]        # hat(0..-N)
         return scipy.linalg.toeplitz(col, row)
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        c = self.coeffs
-        return bool(np.max(np.abs(c - np.conj(c[::-1]))) <=
-                    tol * max(1.0, float(np.max(np.abs(c)))))
 
 
 def build(sym: TrigSymbol, N: int) -> ToeplitzMatrix:

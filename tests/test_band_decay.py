@@ -37,8 +37,7 @@ def _exact_band(roots, mult, scale):
         roots=RootSet(inside, tuple((1.0 / np.conj(a), s)
                                     for a, s in inside)),
         symbol=sym)
-    return BandSymbol(symbol=sym, roots=fac.roots, rho=fac.rho,
-                      factorization=fac)
+    return BandSymbol(fac)
 
 
 class TestBandDecayReport:

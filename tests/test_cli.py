@@ -5,6 +5,8 @@ import pytest
 
 from toeplitz_spectra.cli import run
 
+from helpers import symbol_from_inside_roots
+
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
@@ -78,6 +80,23 @@ class TestInvert:
         rows = out.strip().splitlines()
         assert len(rows) == 7
         assert json.loads(summary.read_text())["oracle_gap"] < 1e-9
+
+    @pytest.mark.parametrize("symbol, N", [
+        # negative definite section: the first entry of column 0 is negative
+        ('{"cosine":[-1.25,1]}', 6),
+        # complex degree-3 symbol at an order below its degree
+        (json.dumps({"coeffs": [[z.real, z.imag] for z in
+                                symbol_from_inside_roots(
+                                    [0.5, 0.4j, -0.3 + 0.2j]).coeffs]}), 1),
+    ], ids=["negative-definite", "degree-3-below-n0"])
+    def test_full_definite_sections(self, capsys, tmp_path, symbol, N):
+        summary = tmp_path / "s.json"
+        code, out, _ = run_cli(capsys, "invert", "--symbol", symbol,
+                               "--N", str(N), "--full", "--check-oracle",
+                               "--json-summary", str(summary))
+        assert code == 0
+        assert len(out.strip().splitlines()) == N + 1
+        assert json.loads(summary.read_text())["oracle_gap"] <= 1e-12
 
     def test_column_matches_entry(self, capsys):
         code, out, _ = run_cli(capsys, "invert", "--symbol",

@@ -3,7 +3,6 @@ import pytest
 
 from toeplitz_spectra.errors import NotPositiveDefinite
 from toeplitz_spectra.predictor import (
-    estimate_wiener_class,
     g_inverse_coeffs,
     lemma1_rate,
     levinson,
@@ -118,14 +117,6 @@ class TestLemma1Rate:
         rep = lemma1_rate(sym, b, [32, 64, 128, 256])
         assert rep.non_increasing()
         assert rep.slope is not None and rep.slope <= -2.4
-
-    def test_wiener_class_bounds(self):
-        sym, b = slow_tail_symbol()
-        P = levinson(sym, 64)
-        est = estimate_wiener_class(P.beta, b, s=3.0)
-        for u in range(1, P.beta.size):
-            assert abs(P.beta[u]) <= est.K / u ** 3.0 + 1e-15
-        assert est.K_prime > 0
 
 
 class TestGInverseCoeffs:
