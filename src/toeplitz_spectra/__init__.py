@@ -3,7 +3,6 @@
 from . import errors
 from .symbol_core import (
     TrigSymbol,
-    LaurentPoly,
     RootSet,
     SpectralFactorization,
     fourier_coeffs,
@@ -24,7 +23,6 @@ from .toeplitz_core import (
 __all__ = [
     "errors",
     "TrigSymbol",
-    "LaurentPoly",
     "RootSet",
     "SpectralFactorization",
     "fourier_coeffs",

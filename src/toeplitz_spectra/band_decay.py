@@ -63,7 +63,8 @@ class BandSymbol:
 
     @classmethod
     def from_symbol(cls, sym: TrigSymbol, *, seed: int = 0) -> "BandSymbol":
-        fac = wiener_hopf_factor(sym, seed=seed)
+        """Factor ``sym``; ``seed`` is unused, as in ``wiener_hopf_factor``."""
+        fac = wiener_hopf_factor(sym)
         if sym.degree > 0 and not (0.0 < fac.rho < 1.0):
             raise ValueError(f"decay base rho={fac.rho} outside (0, 1)")
         return cls(fac)
@@ -170,14 +171,19 @@ def _fit_slope(mags: np.ndarray, lo: int, hi: int):
 
 
 def _bound_constant(mags: np.ndarray, lo: int, hi: int, target: float
-                   ) -> float:
+                   ) -> Optional[float]:
     """C = max M(d) / e^{target d} over the nonzero M(d) with lo <= d <= hi.
 
-    The smallest C with M(d) <= C e^{target d} on the fit window.
+    The smallest C with M(d) <= C e^{target d} on the fit window, formed in
+    log space; None when C exceeds the largest double.
     """
     d = np.arange(mags.size)
     keep = (d >= lo) & (d <= hi) & (mags > 0)
-    return float(np.max(mags[keep] / np.exp(target * d[keep]), initial=0.0))
+    try:
+        return math.exp(np.max(np.log(mags[keep]) - target * d[keep],
+                               initial=-np.inf))
+    except OverflowError:
+        return None
 
 
 def band_decay_report(sym: BandSymbol, N: int, *,

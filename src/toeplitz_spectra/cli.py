@@ -4,8 +4,10 @@ Every command reads a symbol literal (JSON object or @file), runs one
 pipeline, writes CSV to stdout or --out, and optionally a JSON summary.
 ``invert --full`` builds the whole inverse as the decay report does: one
 structured column solve, then every entry by the Gohberg-Semencul formula.
-Exit codes: 0 success, 1 usage or input error, 2 a numerical check failed
-(diagnostics go to the JSON summary and stderr).
+No command draws random numbers, so equal arguments give byte-identical
+output.  The decay summary's C is ``null`` where it overflows.  Exit codes:
+0 success, 1 usage or input error, 2 a numerical check failed (diagnostics
+go to the JSON summary and stderr).
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def _emit(args, csv_text: str, summary: dict):
 
 def _cmd_factor(args) -> int:
     sym = _load_symbol(args.symbol)
-    fac = wiener_hopf_factor(sym, seed=args.seed)
+    fac = wiener_hopf_factor(sym)
     lines = ["item,value,multiplicity"]
     lines.append(f"scale,{_fmt(fac.scale)},")
     lines.append(f"phase,{_fmt(fac.phase)},")
@@ -192,7 +194,7 @@ def _cmd_invert(args) -> int:
              if m is not None]
     if len(modes) != 1:
         raise _UsageError("exactly one of --entry, --column, --full")
-    fac = wiener_hopf_factor(sym, seed=args.seed)
+    fac = wiener_hopf_factor(sym)
     summary = {"N": N}
     ok = True
     if args.entry is not None:
@@ -242,7 +244,7 @@ def _unit_vector(l: int, N: int) -> np.ndarray:
 def _cmd_decay(args) -> int:
     sym = _load_symbol(args.symbol)
     orders = _parse_orders(args)
-    band = bd.BandSymbol.from_symbol(sym, seed=args.seed)
+    band = bd.BandSymbol.from_symbol(sym)
     lines = ["N,d,M"]
     summaries = []
     ok = True
@@ -281,7 +283,7 @@ def _cmd_predictor(args) -> int:
     if args.M is None or args.M < 0:
         raise _UsageError("--M is required and must be nonnegative")
     P = pred.levinson(sym, args.M)
-    fac = wiener_hopf_factor(sym, seed=args.seed)
+    fac = wiener_hopf_factor(sym)
     b = pred.g_inverse_coeffs(fac, args.M + 1)
     limit = np.conj(b[0]) * b / abs(b[0])
     lines = ["u,beta,limit,err"]
@@ -331,7 +333,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--json-summary", dest="json_summary", default=None)
         p.add_argument("--check-oracle", dest="check_oracle",
                        action="store_true")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("factor", help="spectral factorization report")
     common(p)

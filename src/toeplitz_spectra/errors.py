@@ -18,7 +18,7 @@ class UnitModulusRoot(ToeplitzSpectraError):
 
 
 class RootFindFailure(ToeplitzSpectraError):
-    """Simultaneous root iteration did not converge."""
+    """A computed root leaves a large residual, or Aberth did not converge."""
 
 
 class UnbalancedWinding(ToeplitzSpectraError):

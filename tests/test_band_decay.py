@@ -32,8 +32,6 @@ def _exact_band(roots, mult, scale):
     inside = tuple(zip(np.conj(roots), mult))
     fac = SpectralFactorization(
         scale=scale, phase=1.0 + 0j,
-        g1_factors=tuple((np.conj(a), s) for a, s in inside),
-        g2_factors=inside,
         roots=RootSet(inside, tuple((1.0 / np.conj(a), s)
                                     for a, s in inside)),
         symbol=sym)

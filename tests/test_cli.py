@@ -130,6 +130,19 @@ class TestDecayAndFactor:
         assert code == 2
         assert json.loads(summary.read_text())["pass"] is False
 
+    def test_overflowing_bound_constant_is_null(self, capsys, tmp_path):
+        # C = max M(d) e^{-target d} exceeds the largest double here; the
+        # summary must stay strict JSON (no Infinity or NaN literals)
+        summary = tmp_path / "s.json"
+        run_cli(capsys, "decay", "--symbol", '{"cosine":[1.25,-1]}',
+                "--N", "800", "--rho", "0.01", "--json-summary", str(summary))
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        data = json.loads(summary.read_text(), parse_constant=reject)
+        assert data["reports"][0]["C"] is None
+
     def test_factor_report(self, capsys, tmp_path):
         summary = tmp_path / "s.json"
         code, out, _ = run_cli(capsys, "factor", "--symbol",
@@ -173,10 +186,10 @@ class TestPredictor:
 
 class TestDeterminism:
     def test_byte_identical_output(self, capsys, tmp_path):
-        args = ("eigen", "--symbol", '{"cosine":[2.1,-2,-0.1]}',
-                "--N", "12", "--seed", "3")
-        _, out1, _ = run_cli(capsys, *args)
-        _, out2, _ = run_cli(capsys, *args)
+        args = ("eigen", "--symbol", '{"cosine":[2.1,-2,-0.1]}', "--N", "12")
+        code1, out1, _ = run_cli(capsys, *args)
+        code2, out2, _ = run_cli(capsys, *args)
+        assert code1 == code2 == 0 and out1
         assert out1 == out2
 
     def test_out_file(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from toeplitz_spectra.errors import (
     AliasingRisk,
@@ -8,7 +9,7 @@ from toeplitz_spectra.errors import (
     UnitModulusRoot,
 )
 from toeplitz_spectra.symbol_core import (
-    LaurentPoly,
+    RECON_TOL,
     TrigSymbol,
     cepstral_factor,
     fourier_coeffs,
@@ -84,17 +85,15 @@ class TestTrigSymbol:
 class TestLaurentRoots:
     def test_quadratic(self):
         # 1.25 - cos t lifts to -0.5 + 1.25 z - 0.5 z^2 with roots 0.5 and 2
-        K = LaurentPoly.from_symbol(TrigSymbol.from_cosine([1.25, -1.0]))
-        rs = laurent_roots(K)
+        rs = laurent_roots(TrigSymbol.from_cosine([1.25, -1.0]).coeffs)
         assert rs.inside == ((0.5 + 0j, 1),)
         (root, mult), = rs.outside
         assert mult == 1 and abs(root - 2.0) < 1e-12
 
     def test_double_roots(self):
         # (z - 0.5)^2 (z - 2)^2 = 1 - 5 z + 8.25 z^2 - 5 z^3 + z^4
-        K = LaurentPoly(np.array([1.0, -5.0, 8.25, -5.0, 1.0], dtype=complex),
-                        n0=2)
-        rs = laurent_roots(K)
+        rs = laurent_roots(
+            np.array([1.0, -5.0, 8.25, -5.0, 1.0], dtype=complex))
         assert len(rs.inside) == 1 and len(rs.outside) == 1
         (ri, mi), = rs.inside
         (ro, mo), = rs.outside
@@ -102,9 +101,8 @@ class TestLaurentRoots:
         assert abs(ri - 0.5) < 1e-9 and abs(ro - 2.0) < 1e-9
 
     def test_unit_modulus(self):
-        K = LaurentPoly(np.array([-1.0, 0.0, 1.0], dtype=complex), n0=1)
         with pytest.raises(UnitModulusRoot):
-            laurent_roots(K)
+            laurent_roots(np.array([-1.0, 0.0, 1.0], dtype=complex))
 
     def test_roundtrip_random_roots(self):
         rng = np.random.default_rng(11)
@@ -124,7 +122,7 @@ class TestLaurentRoots:
             coeffs = np.array([1.0 + 0j])
             for r in expanded:
                 coeffs = np.convolve(coeffs, np.array([-r, 1.0]))
-            rs = laurent_roots(LaurentPoly(coeffs, n0=len(expanded) // 2))
+            rs = laurent_roots(coeffs)
             found = {**dict(rs.inside), **dict(rs.outside)}
             assert sum(found.values()) == len(expanded)
             for r, m in zip(roots, mults):
@@ -177,6 +175,43 @@ class TestWienerHopf:
             assert np.max(np.abs(fac.reconstruct(theta) - fvals)) <= 1e-9 * sup
             assert fac.scale > 0
 
+    @staticmethod
+    def _assert_factors(sym, n):
+        fac = wiener_hopf_factor(sym)
+        assert fac.n0 == n
+        theta = np.linspace(0, 2 * np.pi, 512, endpoint=False)
+        fvals = sym(theta)
+        assert np.max(np.abs(fac.reconstruct(theta) - fvals)) \
+            <= RECON_TOL * np.max(np.abs(fvals))
+
+    @pytest.mark.parametrize("roots", [[0.75, 0.75, 0.6875, 0.5],
+                                       [0.5, 0.5, 0.5]])
+    def test_repeated_roots_factor(self, roots):
+        # a repeated root moved by about sqrt(eps), as Newton on a
+        # derivative moves it, no longer reconstructs the symbol
+        self._assert_factors(symbol_from_inside_roots(roots, 1.0), len(roots))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_reconstruction(self, data):
+        # unpaired complex inside roots, at least 0.01 apart; the first is
+        # repeated m times.  A triple root of modulus above 0.7 with other
+        # roots within 0.3 can still fail, as can multiplicity 5 and more.
+        n = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(1, min(n, 3)))
+        k = n - m + 1
+        mods = [data.draw(st.floats(0.05, 0.9 if m < 3 else 0.7))] + \
+            data.draw(st.lists(st.floats(0.05, 0.9), min_size=k - 1,
+                               max_size=k - 1))
+        args = data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=k,
+                                  max_size=k))
+        roots = np.array(mods) * np.exp(1j * np.array(args))
+        assume(np.min(np.abs(roots[:, None] - roots[None, :]) + np.eye(k),
+                      initial=1.0) >= 0.01)
+        self._assert_factors(symbol_from_inside_roots(
+            np.concatenate([np.repeat(roots[:1], m), roots[1:]]),
+            data.draw(st.floats(0.5, 2.0))), n)
+
     def test_pf_reconstruction_on_circle(self):
         sym = symbol_from_inside_roots([0.5, 0.5, -0.3], 1.0)
         fac = wiener_hopf_factor(sym)
@@ -194,8 +229,7 @@ class TestWienerHopf:
         # reconstruction check converts into UnbalancedWinding
         c = np.array([0.2, 1.0, 0.2])  # roots both inside or both outside?
         sym = TrigSymbol(c)
-        K = LaurentPoly.from_symbol(sym)
-        rs = laurent_roots(K)
+        rs = laurent_roots(sym.coeffs)
         assert rs.balanced  # real symbols always balance; sanity guard
 
 
