@@ -41,7 +41,27 @@ class SingularMatrix(ToeplitzSpectraError):
 
 
 class NotHermitian(ToeplitzSpectraError):
-    """Matrix handed to the Hermitian eigensolver is not Hermitian."""
+    """Matrix handed to the Hermitian eigensolver is not Hermitian.
+
+    ``asymmetry`` is the measured max|M - M^H|; ``shape`` is set instead
+    when the matrix is not square.
+    """
+
+    def __init__(self, message, asymmetry=None, shape=None):
+        super().__init__(message)
+        self.asymmetry = asymmetry
+        self.shape = shape
+
+
+class NonFiniteMatrix(ToeplitzSpectraError):
+    """Matrix handed to the Hermitian eigensolver has NaN or inf entries.
+
+    ``count`` is the number of non-finite entries.
+    """
+
+    def __init__(self, message, count=None):
+        super().__init__(message)
+        self.count = count
 
 
 class EigenFailure(ToeplitzSpectraError):

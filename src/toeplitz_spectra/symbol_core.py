@@ -65,6 +65,11 @@ class TrigSymbol:
         if c.ndim != 1 or c.size % 2 != 1:
             raise ValueError("coefficient array must be 1-D of odd length")
         d = c.size // 2
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            raise ValueError(
+                f"non-finite symbol coefficients: hat(f)(j) = "
+                f"{c[bad].tolist()} at j = {(bad - d).tolist()}")
         herm = 0.5 * (c + np.conj(c[::-1]))
         if np.max(np.abs(c - herm)) > 1e-8 * max(1.0, np.max(np.abs(c))):
             raise ValueError("coefficients are not Hermitian-symmetric")

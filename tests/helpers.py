@@ -110,3 +110,30 @@ def brute_hankel_product(plus_poles, minus_poles, scale, N, dim):
     Ht = np.array([[phit.get(k + w, 0j) for w in range(1, dim + 1)]
                    for k in range(dim)])
     return Ht @ H
+
+
+def dense_eigvalsh(M):
+    """Ascending eigenvalues of a Hermitian matrix by dense LAPACK eigvalsh.
+
+    The O(n^3) route that the banded ``hermitian_eigen`` replaced.
+    """
+    return np.linalg.eigvalsh(np.asarray(M, dtype=complex))
+
+
+def bisect_fixed(g, lo, hi, steps):
+    """Bisection of many brackets at once that always runs ``steps`` steps.
+
+    Same bracket rule as ``spectra._bisect`` (g > 0 keeps the upper half,
+    g <= 0 the lower half, NaN freezes the bracket), without its stop at
+    the fixed point.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    if not lo.size:
+        return lo
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        s = g(mid)
+        lo = np.where(s > 0, mid, lo)
+        hi = np.where(s <= 0, mid, hi)
+    return 0.5 * (lo + hi)

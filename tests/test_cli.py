@@ -32,6 +32,16 @@ class TestUsageErrors:
                                "--N", "4")
         assert code == 1
 
+    @pytest.mark.parametrize("literal, j", [
+        ('{"cosine": [NaN, -2]}', "[0]"),
+        ('{"cosine": [2, Infinity]}', "[-1, 1]"),
+    ])
+    def test_non_finite_symbol(self, capsys, literal, j):
+        code, _, err = run_cli(capsys, "eigen", "--symbol", literal,
+                               "--N", "4")
+        assert code == 1
+        assert "non-finite symbol coefficients" in err and j in err
+
     def test_invert_needs_mode(self, capsys):
         code, _, err = run_cli(capsys, "invert", "--symbol",
                                '{"cosine":[1.25,-1]}', "--N", "3")

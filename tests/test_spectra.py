@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import scipy.linalg
+
+from toeplitz_spectra import spectra
 from toeplitz_spectra.errors import (
     FlatSymbol,
     LocalizationFailure,
     MissedRoots,
+    NonFiniteMatrix,
     NonUniqueMinimum,
     NotHermitian,
 )
@@ -26,10 +30,15 @@ from toeplitz_spectra.symbol_core import TrigSymbol, aberth_roots
 from toeplitz_spectra.toeplitz_core import build, dense_det
 
 from helpers import (
+    bisect_fixed,
     brute_hankel_product,
     char_poly_coeffs,
+    dense_eigvalsh,
     largest_eigenvalues,
+    symbol_from_inside_roots,
 )
+
+CRITERION_02 = TrigSymbol.from_cosine([4.870821, 0.243767, -0.262014, 0.02278])
 
 
 def laplacian_spectrum(N):
@@ -70,6 +79,162 @@ class TestHermitianEigen:
             det_lu = dense_det(M)
             det_eig = np.prod(eig.eigenvalues)
             assert abs(det_lu - det_eig) <= 1e-8 * abs(det_lu)
+
+
+class TestBandEigen:
+    """The banded route against the dense ``eigvalsh`` oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(M):
+        M = np.asarray(M)
+        got = hermitian_eigen(M).eigenvalues
+        want = dense_eigvalsh(M)
+        scale = max(1.0, float(np.max(np.abs(M), initial=0.0)))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+    def test_complex_non_even_section(self):
+        sym = symbol_from_inside_roots([0.5 + 0.2j, -0.3 + 0.4j, 0.6j], 1.5)
+        assert sym.degree == 3 and not sym.parity
+        M = build(sym, 300).dense()
+        assert np.abs(M.imag).max() > 0.1
+        self.assert_matches_oracle(M)
+
+    def test_even_real_section(self):
+        sym = TrigSymbol.from_cosine([3.0, -1.0, 0.4, 0.2])
+        self.assert_matches_oracle(build(sym, 200).dense())
+
+    def test_diagonal(self):
+        d = np.random.default_rng(2).standard_normal(17)
+        eig = hermitian_eigen(np.diag(d))
+        assert np.array_equal(eig.eigenvalues, np.sort(d))
+
+    def test_one_by_one(self):
+        eig = hermitian_eigen(np.array([[-2.5]]))
+        assert eig.eigenvalues.tolist() == [-2.5]
+
+    def test_full_random_hermitian(self):
+        rng = np.random.default_rng(11)
+        n = 40
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M = 0.5 * (M + M.conj().T)
+        assert M[n - 1, 0] != 0
+        self.assert_matches_oracle(M)
+
+    def test_far_corner_asymmetry(self):
+        M = build(TrigSymbol.from_cosine([2.0, -2.0]), 30).dense()
+        M[0, -1] = 1e-6
+        with pytest.raises(NotHermitian) as err:
+            hermitian_eigen(M)
+        assert err.value.asymmetry == pytest.approx(1e-6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(c0=st.floats(-3.0, 3.0),
+           outer=st.lists(st.tuples(st.floats(-2.0, 2.0),
+                                    st.floats(-2.0, 2.0)), max_size=6),
+           N=st.integers(0, 200))
+    def test_property_matches_oracle(self, c0, outer, N):
+        c = np.array([complex(a, b) for a, b in outer])
+        coeffs = np.concatenate([np.conj(c[::-1]), [c0], c])
+        self.assert_matches_oracle(build(TrigSymbol(coeffs), N).dense())
+
+    def test_no_dense_eigensolver(self, monkeypatch):
+        def dense(*args, **kwargs):
+            raise AssertionError("dense eigensolver called")
+
+        for mod, name in [(np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                          (np.linalg, "eigvals"), (np.linalg, "eig"),
+                          (scipy.linalg, "eigvalsh"), (scipy.linalg, "eigh"),
+                          (scipy.linalg, "eigvals"), (scipy.linalg, "eig")]:
+            monkeypatch.setattr(mod, name, dense)
+        sym = TrigSymbol.from_cosine([3.0, -1.0, 0.4])
+        assert hermitian_eigen(build(sym, 64).dense()).n == 65
+
+    def test_non_finite_entries(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteMatrix) as err:
+                hermitian_eigen(np.array([[1.0, bad], [bad, 1.0]]))
+            assert err.value.count == 2
+
+    def test_non_square(self):
+        with pytest.raises(NotHermitian) as err:
+            hermitian_eigen(np.zeros((2, 3)))
+        assert err.value.shape == (2, 3)
+
+    def test_empty(self):
+        assert hermitian_eigen(np.zeros((0, 0))).n == 0
+
+
+class TestBisect:
+    @staticmethod
+    def record(monkeypatch):
+        """Route every ``_bisect`` call past the fixed-count oracle."""
+        calls = []
+        real = spectra._bisect
+
+        def checked(g, lo, hi, steps):
+            count = [0]
+
+            def counted(m):
+                count[0] += 1
+                return g(m)
+
+            got = real(counted, lo, hi, steps)
+            want = bisect_fixed(g, lo, hi, steps)
+            calls.append((got, want, count[0], steps))
+            return got
+
+        monkeypatch.setattr(spectra, "_bisect", checked)
+        return calls
+
+    def test_branches_and_localization_match_oracle(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        N = 256
+        eig = hermitian_eigen(build(CRITERION_02, N).dense())
+        grid_localize(CRITERION_02, N, eig)
+        assert len(calls) >= 2
+        for got, want, count, steps in calls:
+            assert np.array_equal(got, want)
+            # every bracket lies inside [0, pi]
+            assert count <= 64
+
+    def test_det_scan_matches_oracle(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        sym = TrigSymbol.from_cosine([2.1, -2.0, -0.1])
+        res = det_equation_roots(sym, 8, (0.05, 3.95), n_samples=240)
+        assert len(res.roots) == 9
+        det_calls = [c for c in calls if c[3] == 80 and c[0].size == 9]
+        assert det_calls
+        for got, want, count, steps in calls:
+            assert np.array_equal(got, want)
+            assert count < steps
+
+    def test_nan_freezes_bracket(self):
+        lo, hi = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+        root = np.array([0.3, 1.7, 2.2])
+
+        def g(m):
+            s = root - m            # positive below the root
+            s[1] = np.nan
+            return s
+
+        got = spectra._bisect(g, lo, hi, 80)
+        assert np.array_equal(got, bisect_fixed(g, lo, hi, 80))
+        assert got[1] == 1.5
+        assert np.max(np.abs(got[[0, 2]] - root[[0, 2]])) < 1e-15
+
+    def test_steps_cap(self):
+        # the bracket closes on 0, whose ulp no fixed count of halvings
+        # reaches: all steps run
+        count = [0]
+
+        def g(m):
+            count[0] += 1
+            return -m
+
+        got = spectra._bisect(g, [0.0], [1.0], 80)
+        assert count[0] == 80
+        assert np.array_equal(got, bisect_fixed(np.negative, [0.0], [1.0], 80))
 
 
 class TestGridLocalize:
