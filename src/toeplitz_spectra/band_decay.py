@@ -53,6 +53,8 @@ from .toeplitz_core import build, dense_invert
 # surrogate accuracies that the regular-symbol checks demand of approx_regular
 COROLLARY_EPS = 1e-8
 PERTURBATION_EPS = 1e-6
+# the highest truncation degree that approx_regular tries
+DEGREE_CAP = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +104,7 @@ class RegularSymbol:
         grid = 2048
         while grid < 8 * d:
             grid *= 2
-        return TrigSymbol(fourier_coeffs(self.sample_fn, d, grid),
-                          sample_fn=self.sample_fn)
+        return TrigSymbol(fourier_coeffs(self.sample_fn, d, grid))
 
 
 @dataclass(frozen=True)
@@ -230,15 +231,14 @@ def modulus_squared_symbol(p: np.ndarray) -> TrigSymbol:
     return TrigSymbol(np.convolve(p, np.conj(p[::-1])))
 
 
-def approx_regular(f: RegularSymbol, eps: float, *,
-                   degree_cap: int = 512) -> np.ndarray:
+def approx_regular(f: RegularSymbol, eps: float) -> np.ndarray:
     """Analytic polynomial P with sup | |P|^2 - f | <= eps on the circle.
 
     Cepstral construction: P truncates the exponential of the analytic half
     of log f, with the truncation degree raised until the bound holds on a
     2048-point grid.  The returned P has no roots on or inside the unit
-    circle (checked); ApproxFailure carries the best error if the degree cap
-    is reached.
+    circle (checked); ApproxFailure carries the best error if DEGREE_CAP is
+    reached.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -247,7 +247,7 @@ def approx_regular(f: RegularSymbol, eps: float, *,
     fv = np.asarray(f.sample_fn(theta), dtype=float)
     degree = 8
     best = np.inf
-    while degree <= degree_cap:
+    while degree <= DEGREE_CAP:
         p = cepstral_factor(f.sample_fn, degree)
         pv = np.polynomial.polynomial.polyval(np.exp(1j * theta), p)
         err = float(np.max(np.abs(np.abs(pv) ** 2 - fv)))
@@ -264,7 +264,7 @@ def approx_regular(f: RegularSymbol, eps: float, *,
             return p
         degree *= 2
     raise ApproxFailure(
-        f"degree cap {degree_cap} reached with error {best:.3e}",
+        f"degree cap {DEGREE_CAP} reached with error {best:.3e}",
         achieved=best)
 
 

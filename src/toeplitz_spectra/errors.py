@@ -86,7 +86,7 @@ class FlatSymbol(LocalizationFailure):
 
 
 class ExcludedLambda(ToeplitzSpectraError):
-    """Spectral parameter falls in a region excluded by the hypotheses."""
+    """The normalized determinant is not real at a root of the det scan."""
 
 
 class MissedRoots(ToeplitzSpectraError):

@@ -21,7 +21,8 @@ Product matrix.  On states, H_Phitilde H_Phi acts as the n1 x n1 matrix
 
     M = Hd L(G2) Hb L(G1),   Hd[i, e-1] = d[N+1+e+i],  Hb[e-1, j] = b[N+1+j+e],
 
-for i, j < n1 and 1 <= e <= n2; the scales cancel.
+for i, j < n1 and 1 <= e <= n2; the scales cancel.  The determinant scan of
+``spectra`` uses the same M with equal factors (plus = minus).
 
 Stein Gram.  The squared norm of the element with state x is x^H G x, with
 G = A^H G A + e0 e0^T (``solve_discrete_lyapunov``).  ``norm2`` is the
@@ -211,8 +212,7 @@ def hankel_product_matrix(factor, N: int) -> HankelProductMatrix:
     return HankelProductMatrix(entries=ctx.M, N=N, norm2=ctx.norm2)
 
 
-def invert_apply(factor, N: int, Q: np.ndarray, *,
-                 norm_check: bool = True) -> np.ndarray:
+def invert_apply(factor, N: int, Q: np.ndarray) -> np.ndarray:
     """Image of a polynomial under the inverse of the order-N section.
 
     Parameters
@@ -220,30 +220,29 @@ def invert_apply(factor, N: int, Q: np.ndarray, *,
     factor : SpectralFactorization
     N : section order (matrix size N+1)
     Q : ascending coefficients, degree <= N
-    norm_check : require the certified contraction condition (norm < 1).
 
-    Returns the degree-N coefficient vector of T_N^{-1}(f) Q.
+    Returns the degree-N coefficient vector of T_N^{-1}(f) Q.  Raises
+    NeumannCondition unless the certified contraction condition (norm < 1)
+    holds.
     """
     Q = np.asarray(Q, dtype=complex)
     if Q.size > N + 1:
         raise ValueError("polynomial degree exceeds the section order")
     ctx = _cached_context(factor, N)
-    if norm_check:
-        ctx.check_norm()
+    ctx.check_norm()
     return ctx.solve(Q)
 
 
-def inverse_entry(factor, N: int, k: int, l: int, *,
-                  norm_check: bool = True) -> complex:
+def inverse_entry(factor, N: int, k: int, l: int) -> complex:
     """Single entry (k, l), 0-based, of the inverse section.
 
-    Read from column l of the inverse, which costs O(N (n1 + n2)).
+    Read from column l of the inverse, which costs O(N (n1 + n2)).  Raises
+    NeumannCondition as ``invert_apply`` does.
     """
     if not (0 <= k <= N and 0 <= l <= N):
         raise ValueError("entry indices must lie in [0, N]")
     ctx = _cached_context(factor, N)
-    if norm_check:
-        ctx.check_norm()
+    ctx.check_norm()
     unit = np.zeros(l + 1, dtype=complex)
     unit[l] = 1.0
     return complex(ctx.solve(unit)[k])

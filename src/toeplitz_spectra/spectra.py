@@ -6,13 +6,11 @@ of the symbol antecedents.
 For an even cosine polynomial f and real lambda, writing x = cos(theta),
 f - lambda factors over its antecedent roots x_j through the partners
 omega_j (|omega_j| <= 1) with omega + 1/omega = 2 x_j.  The composed Hankel
-matrix on the simple-pole basis has the closed form
-
-    M[i, j] = A_i w_i^{N+2} sum_h A_h w_h^{N+2} Q_j(w_h) Q_h(w_i),
-
-with A the simple partial-fraction weights and Q_m the products skipping one
-factor.  lambda belongs to the spectrum of the order-N section exactly when
-det(I - M(lambda)) = 0, which is located here by phase-normalized sign scans.
+matrix M(lambda) is the state-space product matrix of ``hankel_inversion``
+with both factors equal to g = prod (1 - omega_j z), so repeated partners
+are just repeated factors.  lambda belongs to the spectrum of the order-N
+section exactly when det(I - M(lambda)) = 0, which is located here by
+phase-normalized sign scans.
 
 Every search is batched over its parameters: the antecedent roots x_j of
 all sampled lambda are the eigenvalues of one stack of companion matrices,
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -50,11 +48,12 @@ log = logging.getLogger("toeplitz_spectra")
 
 CRIT_TOL = 1e-6
 RESID_TOL = 1e-6
-BOUNDARY_TOL = 1e-10
 # a root scan need not find eigenvalues this close to its window's edges
 ROOT_MARGIN = 1e-5
 BRANCH_GRID = 8193
 MINIMIZER_GRID = 8192
+WEYL_TEST_FUNCTIONS = (lambda x: x, lambda x: x ** 2, lambda x: x ** 3,
+                       lambda x: x ** 4, np.abs, np.exp)
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +277,14 @@ def _x_polynomial(sym: TrigSymbol) -> np.ndarray:
     return np.polynomial.chebyshev.cheb2poly(sym.cosine_coeffs())
 
 
-def _antecedent_partners(px: np.ndarray, lams):
+def _antecedent_partners(px: np.ndarray, lams) -> np.ndarray:
     """Partners omega (|omega| <= 1) of the roots of f(x) - lam, x = cos.
 
     ``px`` is f as a polynomial in x (``_x_polynomial``).  For S values
-    ``lams`` returns the (S, d) partners and a length-S mask of
-    the values excluded by the hypotheses: a partner of a root off (-1, 1)
-    within BOUNDARY_TOL of the unit circle, or a partner product within
-    1e-8 of 1.  The roots are the eigenvalues of the companion matrices of
-    f(x) - lam (as in ``np.roots``), one stacked matrix per value.
+    ``lams`` returns the (S, d) partners, with omega + 1/omega = 2 x; a root
+    in (-1, 1) gets the unimodular partner e^{-i theta}, x = cos(theta).
+    The roots are the eigenvalues of the companion matrices of f(x) - lam
+    (as in ``np.roots``), one stacked matrix per value.
     """
     lams = np.asarray(lams, dtype=float)
     d = px.size - 1
@@ -300,39 +298,50 @@ def _antecedent_partners(px: np.ndarray, lams):
     disc = np.sqrt(x * x - 1.0)
     w1, w2 = x + disc, x - disc
     w = np.where(np.abs(w1) < np.abs(w2), w1, w2)
-    om = np.where(real_in, np.cos(th) - 1j * np.sin(th), w)
-    on_circle = ~real_in & (np.abs(np.abs(w) - 1.0) < BOUNDARY_TOL)
-    prod = np.abs(om[:, :, None] * om[:, None, :] - 1.0)
-    excluded = on_circle.any(axis=1) | (prod.min(axis=(1, 2)) < 1e-8)
-    return om, excluded
+    return np.where(real_in, np.cos(th) - 1j * np.sin(th), w)
 
 
-def characteristic_matrix_from_omegas(omegas: np.ndarray, N: int
-                                      ) -> np.ndarray:
-    """Closed-form r x r matrix of the composed Hankel maps.
+def characteristic_matrix(omegas: np.ndarray, N: int) -> np.ndarray:
+    """M of ``hankel_inversion`` with G1 = G2 = g = prod_j (1 - omega_j z).
 
-    ``omegas`` has shape (..., r); leading axes are batch axes and the
-    result has shape (..., r, r).
+    ``omegas`` is (S, r) and M (S, r, r).  That module's docstring gives
+    M = V V, V = Hd L(g), Hd[i, e] = d[N+2+i+e] with d the series of 1/g.
+    The far d come from a companion power (log N squarings), so coinciding
+    partners need no care.  Products run with the batch axis last.
     """
-    om = np.asarray(omegas, dtype=complex)
-    eye = np.eye(om.shape[-1], dtype=bool)
-    # [h, n] = 1 - om_n / om_h, 1 on the diagonal
-    diff = np.where(eye, 1.0, 1.0 - om[..., None, :] / om[..., :, None])
-    A = 1.0 / np.prod(diff, axis=-1)
-    # [m, n, i] = 1 - om_n om_i, 1 where n == m; Qz[m, i] = Q_m(om_i)
-    fac = np.where(eye[:, :, None], 1.0,
-                   1.0 - om[..., None, :, None] * om[..., None, None, :])
-    Qz = np.prod(fac, axis=-2)
-    pw = om ** (N + 2)
-    # V[i, h] = A_i w_i^{N+2} Q_h(w_i)
-    V = (A * pw)[..., :, None] * np.swapaxes(Qz, -1, -2)
-    return V @ V
+    om = np.asarray(omegas, dtype=complex).T
+    r, S = om.shape
+    g = np.zeros((r + 1, S), dtype=complex)
+    g[0] = 1.0
+    for w in om:
+        g[1:] -= w * g[:-1]
+    # C maps (d[n], ..., d[n+r-1]) to (d[n+1], ..., d[n+r]); at n = -r+1
+    # that window is e_last
+    C = np.zeros((r, r, S), dtype=complex)
+    C[np.arange(r - 1), np.arange(1, r)] = 1.0
+    C[-1] = -g[:0:-1]
+    far = np.zeros((2 * r - 1, S), dtype=complex)       # d[N+2..N+2r]
+    far[r - 1] = 1.0
+    n = N + r + 1
+    while n:                  # far[:r] = C^{N+r+1} e_last, by squaring
+        if n & 1:
+            far[:r] = np.einsum("ijs,js->is", C, far[:r])
+        C = np.einsum("ijs,jks->iks", C, C)
+        n >>= 1
+    for k in range(r, 2 * r - 1):
+        far[k] = -np.sum(g[:0:-1] * far[k - r:k], axis=0)
+    i = np.arange(r)
+    Hd = far[i[:, None] + i[None, :]]
+    lag = i[:, None] - i[None, :]
+    L = np.where((lag >= 0)[:, :, None], g[np.maximum(lag, 0)], 0.0)
+    V = np.einsum("ies,ejs->ijs", Hd, L)
+    return np.moveaxis(np.einsum("ies,ejs->ijs", V, V), -1, 0)
 
 
 @dataclass(frozen=True)
 class DetRootsResult:
     roots: tuple
-    excluded: tuple           # (lo, hi) windows skipped around excluded values
+    excluded: tuple           # (lo, hi) guard windows around critical values
 
 
 def _critical_values(sym: TrigSymbol) -> list[float]:
@@ -348,13 +357,10 @@ def _critical_values(sym: TrigSymbol) -> list[float]:
 
 def _det_normalized(px: np.ndarray, lams: np.ndarray, N: int):
     """Phase-normalized det(I - M(lambda)), the determinant, and the count of
-    unimodular partners, per lambda; both determinants are NaN where lambda
-    is excluded."""
-    om, excluded = _antecedent_partners(px, lams)
-    ok = ~excluded
-    D = np.full(lams.size, np.nan, dtype=complex)
-    D[ok] = np.linalg.det(np.eye(om.shape[1])
-                          - characteristic_matrix_from_omegas(om[ok], N))
+    unimodular partners, per lambda; each unimodular partner omega puts
+    omega^{-(N+2)}/i into the normalization.  Finite for every lambda."""
+    om = _antecedent_partners(px, lams)
+    D = np.linalg.det(np.eye(om.shape[1]) - characteristic_matrix(om, N))
     uni = np.abs(np.abs(om) - 1.0) < 1e-9
     n_uni = uni.sum(axis=1)
     phase = np.prod(np.where(uni, (om / np.abs(om)) ** (-(N + 2)), 1.0),
@@ -387,25 +393,22 @@ def det_equation_roots(sym: TrigSymbol, N: int,
     lams = np.linspace(lo, hi, n_samples)
     crit = np.array(_critical_values(sym))
     guard = np.any(np.abs(lams[:, None] - crit) < CRIT_TOL, axis=1)
+    ok = ~guard
     Dn = np.full(n_samples, np.nan, dtype=complex)
     n_uni = np.zeros(n_samples, dtype=int)
-    Dn[~guard], _, n_uni[~guard] = _det_normalized(px, lams[~guard], N)
-    ok = ~np.isnan(Dn)
+    Dn[ok], _, n_uni[ok] = _det_normalized(px, lams[ok], N)
     scale = float(np.max(np.abs(Dn[ok]))) if ok.any() else 1.0
     re = Dn.real
     ra = np.where(re[:-1] == 0.0, 1e-300, re[:-1])
     brackets = np.flatnonzero(ok[:-1] & ok[1:] & (n_uni[:-1] == n_uni[1:])
                               & (ra * re[1:] < 0))
-    # a bracket keeps the half whose left end has its left sample's sign; a
-    # midpoint where lambda is excluded (NaN) freezes its bracket
+    # a bracket keeps the half whose left end has its left sample's sign
     sign = np.sign(ra[brackets])
     mids = _bisect(lambda m: sign * _det_normalized(px, m, N)[0].real,
                    lams[brackets], lams[brackets + 1], 80)
     Dn_mids, D_mids, _ = _det_normalized(px, mids, N)
     roots = []
     for lam_root, Dn_r, D_r in zip(mids.tolist(), Dn_mids, D_mids):
-        if np.isnan(D_r):
-            continue
         if abs(D_r) > RESID_TOL * scale:
             log.debug("rejecting pseudo-crossing at lambda=%.8f |D|=%.2e",
                       lam_root, abs(D_r))
@@ -417,7 +420,7 @@ def det_equation_roots(sym: TrigSymbol, N: int,
         if not roots or abs(lam_root - roots[-1]) > 1e-9 * max(1.0, abs(hi)):
             roots.append(lam_root)
     excl_windows = []
-    for lam in lams[~ok].tolist():
+    for lam in lams[guard].tolist():
         if excl_windows and lam - excl_windows[-1][1] < 2 * (hi - lo) / n_samples:
             excl_windows[-1] = (excl_windows[-1][0], lam)
         else:
@@ -440,28 +443,20 @@ def det_equation_roots(sym: TrigSymbol, N: int,
 # Weyl-gap diagnostics
 # ---------------------------------------------------------------------------
 
-def default_test_functions() -> list[Callable[[np.ndarray], np.ndarray]]:
-    return [lambda x: x, lambda x: x ** 2, lambda x: x ** 3,
-            lambda x: x ** 4, np.abs, np.exp]
-
-
-def weyl_gap(sym: TrigSymbol, N: int,
-             test_fns: Optional[Sequence[Callable]] = None) -> float:
+def weyl_gap(sym: TrigSymbol, N: int) -> float:
     """Max averaged test-function gap between the spectrum and symbol samples.
 
     Compares the N smallest eigenvalues of the order-N section against the
     symbol on the uniform grid -pi + 2 pi j/(N+1), j = 1..N (both families
-    have N members); returns the worst |mean difference| over the test
-    functions.
+    have N members); returns the worst |mean difference| over
+    WEYL_TEST_FUNCTIONS.
     """
-    if test_fns is None:
-        test_fns = default_test_functions()
     eig = hermitian_eigen(build(sym, N).dense())
     lams = eig.eigenvalues[:N]
     theta = -np.pi + 2.0 * np.pi * np.arange(1, N + 1) / (N + 1)
     samples = sym(theta)
     worst = 0.0
-    for h in test_fns:
+    for h in WEYL_TEST_FUNCTIONS:
         gap = abs(np.sum(h(lams)) - np.sum(h(samples))) / N
         worst = max(worst, float(gap))
     return worst

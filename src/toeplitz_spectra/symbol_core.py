@@ -1,9 +1,8 @@
 """Symbols on the torus: Fourier data, root splits and spectral factorization.
 
 A symbol is a real-valued function on the unit circle given by finitely many
-Fourier coefficients (optionally backed by a sample function that was used to
-produce them).  This module turns a symbol into its root data on the z-plane
-and from there into the multiplicative split
+Fourier coefficients.  This module turns a symbol into its root data on the
+z-plane and from there into the multiplicative split
 
     f(chi) = C * g1(chi) * g2(chi),    chi = e^{i theta},
 
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg.blas
@@ -57,8 +56,6 @@ class TrigSymbol:
 
     coeffs: np.ndarray
     parity: bool = False
-    sample_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -89,8 +86,7 @@ class TrigSymbol:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_cosine(cls, cosine: Sequence[float],
-                    sample_fn=None) -> "TrigSymbol":
+    def from_cosine(cls, cosine: Sequence[float]) -> "TrigSymbol":
         """Even symbol sum_j cosine[j] * cos(j theta)."""
         cosine = np.asarray(cosine, dtype=float)
         d = cosine.size - 1
@@ -99,7 +95,7 @@ class TrigSymbol:
         for j in range(1, d + 1):
             c[d + j] = cosine[j] / 2.0
             c[d - j] = cosine[j] / 2.0
-        return cls(c, sample_fn=sample_fn)
+        return cls(c)
 
     @classmethod
     def constant(cls, value: float) -> "TrigSymbol":
@@ -476,13 +472,16 @@ class SpectralFactorization:
     g1(chi) = phase * prod_j (1 - w_j chi)^{s_j} with w_j = conj(inside root),
     g2(chi) = prod_i (1 - a_i chibar)^{s_i} over the inside roots a_i, and
     C > 0 real.  The factors are read from ``roots.inside``, the one copy of
-    the root data.
+    the root data.  ``residual`` is max|f - C g1 g2| on the 1024-point grid
+    of the reconstruction check, measured by ``wiener_hopf_factor`` (0 for
+    a factorization built by hand).
     """
 
     scale: float
     phase: complex
     roots: RootSet
     symbol: TrigSymbol = field(compare=False)
+    residual: float = field(default=0.0, compare=False)
 
     @property
     def g1_factors(self) -> tuple:
@@ -535,12 +534,13 @@ def wiener_hopf_factor(sym: TrigSymbol, *, seed: int = 0
     if c_raw == 0:
         raise ValueError("zero symbol cannot be factorized")
     sup = float(np.max(np.abs(fvals)))
-    if np.max(np.abs(fvals - c_raw * prod)) > RECON_TOL * max(sup, 1e-30):
+    resid = float(np.max(np.abs(fvals - c_raw * prod)))
+    if resid > RECON_TOL * max(sup, 1e-30):
         raise UnbalancedWinding(
             "factor product does not reconstruct the symbol; "
             "root data is inconsistent")
     return replace(unit, scale=float(abs(c_raw)),
-                   phase=complex(c_raw / abs(c_raw)))
+                   phase=complex(c_raw / abs(c_raw)), residual=resid)
 
 
 # ---------------------------------------------------------------------------

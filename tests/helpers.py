@@ -95,6 +95,32 @@ def laurent_tables(plus_poles, minus_poles, scale, N, U):
     return phi, phit
 
 
+def closed_form_characteristic_matrix(omegas, N):
+    """Partial-fraction form of the composed Hankel matrix, distinct partners.
+
+    With A the simple partial-fraction weights of 1/prod(1 - w z) and Q_m the
+    product skipping factor m, on the simple-pole basis
+
+        M[i, j] = A_i w_i^{N+2} sum_h A_h w_h^{N+2} Q_j(w_h) Q_h(w_i).
+
+    ``omegas`` has shape (..., r); the result has shape (..., r, r).  It is
+    singular where two partners meet.
+    """
+    om = np.asarray(omegas, dtype=complex)
+    eye = np.eye(om.shape[-1], dtype=bool)
+    # [h, n] = 1 - om_n / om_h, 1 on the diagonal
+    diff = np.where(eye, 1.0, 1.0 - om[..., None, :] / om[..., :, None])
+    A = 1.0 / np.prod(diff, axis=-1)
+    # [m, n, i] = 1 - om_n om_i, 1 where n == m; Qz[m, i] = Q_m(om_i)
+    fac = np.where(eye[:, :, None], 1.0,
+                   1.0 - om[..., None, :, None] * om[..., None, None, :])
+    Qz = np.prod(fac, axis=-2)
+    pw = om ** (N + 2)
+    # V[i, h] = A_i w_i^{N+2} Q_h(w_i)
+    V = (A * pw)[..., :, None] * np.swapaxes(Qz, -1, -2)
+    return V @ V
+
+
 def largest_eigenvalues(P, r):
     """The r eigenvalues of P of largest modulus, sorted by np.sort_complex."""
     ev = np.linalg.eigvals(P)

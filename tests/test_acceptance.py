@@ -200,7 +200,7 @@ def test_criterion_09_regular_symbol_decay():
 
 def test_criterion_10_weyl_gap():
     sym = TrigSymbol.from_cosine([1.25, -1.0])
-    g64 = weyl_gap(sym, 64, [lambda x: x])
-    g256 = weyl_gap(sym, 256, [lambda x: x])
+    g64 = weyl_gap(sym, 64)
+    g256 = weyl_gap(sym, 256)
     ok = g256 < g64 and g256 <= 0.05
     assert _report(10, ok, f"gap(64) = {g64:.3e}, gap(256) = {g256:.3e}")

@@ -172,7 +172,7 @@ class TestApproxRegular:
     def test_cap_failure(self):
         f = RegularSymbol(lambda t: np.exp(np.cos(t)))
         with pytest.raises(ApproxFailure) as err:
-            approx_regular(f, 1e-30, degree_cap=16)
+            approx_regular(f, 1e-30)
         assert err.value.achieved is not None
 
     def test_not_positive_rejected(self):

@@ -235,7 +235,7 @@ class TestInverseEntry:
             invert_apply(pair, N, np.array([1.0]))
         # the direct small solve stays valid while I - M is nonsingular
         inv = dense_invert(_pair_toeplitz(pair, N))
-        val = inverse_entry(pair, N, 0, 0, norm_check=False)
+        val = _cached_context(pair, N).solve(np.array([1.0]))[0]
         assert abs(val - inv[0, 0]) < 1e-10
 
 

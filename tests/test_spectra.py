@@ -13,8 +13,9 @@ from toeplitz_spectra.errors import (
     NonUniqueMinimum,
     NotHermitian,
 )
+from toeplitz_spectra.hankel_inversion import _FactorPair, _InversionContext
 from toeplitz_spectra.spectra import (
-    characteristic_matrix_from_omegas,
+    characteristic_matrix,
     det_equation_roots,
     grid_localize,
     hermitian_eigen,
@@ -33,6 +34,7 @@ from helpers import (
     bisect_fixed,
     brute_hankel_product,
     char_poly_coeffs,
+    closed_form_characteristic_matrix,
     dense_eigvalsh,
     largest_eigenvalues,
     symbol_from_inside_roots,
@@ -340,64 +342,82 @@ class TestGridLocalize:
 
 
 class TestCharacteristicMatrix:
+    def test_matches_rational_machinery(self):
+        # entrywise against the state-space inversion route itself
+        rng = np.random.default_rng(5)
+        for r in range(1, 5):
+            for N in (0, 1, 7, 64, 500):
+                om = (rng.uniform(0.2, 1.0, (3, r))
+                      * np.exp(2j * np.pi * rng.random((3, r))))
+                om[0, 0] = np.exp(-0.7j)
+                M = characteristic_matrix(om, N)
+                assert M.shape == (3, r, r)
+                for s in range(3):
+                    factors = tuple((w, 1) for w in om[s])
+                    want = _InversionContext(
+                        _FactorPair(factors, factors), N).M
+                    err = np.max(np.abs(M[s] - want))
+                    assert err <= 1e-11 * np.max(np.abs(want)), (r, N, s)
+
     def test_unimodular_single_root(self):
         sym = TrigSymbol.from_cosine([2.0, -2.0])
-        om, excluded = _antecedent_partners(_x_polynomial(sym), [1.3])
-        assert not excluded[0] and om.shape == (1, 1)
+        om = _antecedent_partners(_x_polynomial(sym), [1.3])
+        assert om.shape == (1, 1)
         assert abs(abs(om[0, 0]) - 1.0) < 1e-12
-        M = characteristic_matrix_from_omegas(om[0], 6)
-        assert abs(abs(M[0, 0]) - 1.0) < 1e-12
+        M = characteristic_matrix(om, 6)
+        assert abs(abs(M[0, 0, 0]) - 1.0) < 1e-12
 
     def test_damping_to_zero(self):
         sym = TrigSymbol.from_cosine([2.0, -2.0])
-        om, _ = _antecedent_partners(_x_polynomial(sym), [0.8])
-        M = characteristic_matrix_from_omegas(1e-3 * om[0], 4)
+        om = _antecedent_partners(_x_polynomial(sym), [0.8])
+        M = characteristic_matrix(1e-3 * om, 4)
         assert np.max(np.abs(M)) < 1e-12
 
     def test_stacked_omegas_match_single_calls(self):
         rng = np.random.default_rng(5)
         om = (rng.uniform(0.2, 0.9, (6, 3))
               * np.exp(2j * np.pi * rng.random((6, 3))))
-        stacked = characteristic_matrix_from_omegas(om, 7)
+        stacked = characteristic_matrix(om, 7)
         assert stacked.shape == (6, 3, 3)
         for s in range(6):
-            single = characteristic_matrix_from_omegas(om[s], 7)
+            single = characteristic_matrix(om[s:s + 1], 7)[0]
             assert np.allclose(stacked[s], single, rtol=1e-14, atol=0.0)
 
     def test_brute_force_truncation(self):
-        # strictly-inside synthetic partners; both routes well defined
-        om = 0.85 * np.exp(np.array([1j * np.pi / 3, -1j * np.pi / 3]))
-        N = 4
-        M = characteristic_matrix_from_omegas(om, N)
-        P = brute_hankel_product(list(om), list(om), 1.0, N, dim=64)
-        B = np.array([[w ** k for w in om] for k in range(64)])
-        resid = np.max(np.abs(P @ B - B @ M))
-        assert resid < 1e-6
-
-    def test_matches_rational_machinery(self):
-        # the same operator through the state-space inversion route; the
-        # bases differ, so compare spectra, also with the truncation oracle
-        from toeplitz_spectra.hankel_inversion import (
-            _FactorPair, hankel_product_matrix)
         om = np.array([0.6 + 0.3j, -0.45 + 0.1j, 0.2 - 0.5j])
         N = 5
-        closed = np.sort_complex(np.linalg.eigvals(
-            characteristic_matrix_from_omegas(om, N)))
-        pair = _FactorPair(plus=tuple((w, 1) for w in om),
-                           minus=tuple((w, 1) for w in om))
-        state = np.sort_complex(np.linalg.eigvals(
-            hankel_product_matrix(pair, N).entries))
+        got = np.sort_complex(np.linalg.eigvals(
+            characteristic_matrix(om[None], N)[0]))
         brute = largest_eigenvalues(
             brute_hankel_product(list(om), list(om), 1.0, N, dim=64), om.size)
-        scale = np.max(np.abs(closed))
-        assert np.max(np.abs(state - closed)) < 1e-12 * scale
-        assert np.max(np.abs(brute - closed)) < 1e-9 * scale
+        assert np.max(np.abs(brute - got)) < 1e-9 * np.max(np.abs(got))
 
-    def test_excluded_products(self):
-        sym = TrigSymbol.from_cosine([2.0, -2.0])
-        # lambda = f(pi) = 4 puts the antecedent at theta = pi (omega = -1)
-        _, excluded = _antecedent_partners(_x_polynomial(sym), [4.0, 1.3])
-        assert excluded.tolist() == [True, False]
+    def test_det_matches_closed_form(self):
+        # distinct partners, where the partial-fraction formula holds
+        rng = np.random.default_rng(8)
+        for r in (1, 2, 3):
+            om = (rng.uniform(0.3, 1.0, (4, r))
+                  * np.exp(2j * np.pi * rng.random((4, r))))
+            for N in (0, 3, 20):
+                eye = np.eye(r)
+                got = np.linalg.det(eye - characteristic_matrix(om, N))
+                want = np.linalg.det(
+                    eye - closed_form_characteristic_matrix(om, N))
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+    def test_det_continuous_as_partners_meet(self):
+        # the simple-pole closed form reads -1163 + 3165i at a gap of 1e-6,
+        # 4e12 at 1e-9 and NaN at 0
+        a, N = np.exp(-0.7j), 8
+        double = ((a, 2),)
+        want = np.linalg.det(
+            np.eye(2) - _InversionContext(_FactorPair(double, double), N).M)
+        assert abs(want - (-187.6956 - 59.7028j)) < 1e-3
+        for gap in (1e-6, 1e-9, 0.0):
+            om = np.array([[a, a * np.exp(1j * gap)]])
+            got = np.linalg.det(np.eye(2) - characteristic_matrix(om, N))[0]
+            assert abs(got - want) <= (100 * gap + 1e-11) * abs(want), gap
 
 
 class TestDetEquationRoots:
@@ -407,6 +427,27 @@ class TestDetEquationRoots:
         want = laplacian_spectrum(3)
         assert len(res.roots) == 4
         assert np.max(np.abs(np.array(res.roots) - want)) < 1e-6
+
+    def test_guard_window_at_range_end(self):
+        # lambda = f(pi) = 4 is the 101st sample
+        sym = TrigSymbol.from_cosine([2.0, -2.0])
+        res = det_equation_roots(sym, 5, (2.0, 4.0), n_samples=101)
+        assert res.excluded == ((4.0, 4.0),)
+        assert len(res.roots) == 3
+
+    def test_guard_window_inside(self):
+        # f(pi) = 3.634 is the 101st sample, in the middle of the window
+        sym = TrigSymbol.from_cosine([3.348, -0.966, -0.68])
+        f_pi = float(sym(np.pi))
+        res = det_equation_roots(sym, 8, (f_pi - 0.5, f_pi + 0.5),
+                                 n_samples=201)
+        assert len(res.excluded) == 1
+        a, b = res.excluded[0]
+        assert a == b and abs(a - 3.634) < 1e-12
+        eig = hermitian_eigen(build(sym, 8).dense()).eigenvalues
+        want = eig[np.abs(eig - f_pi) < 0.5]
+        assert want.size == 6 and len(res.roots) == 6
+        assert np.max(np.abs(np.array(res.roots) - want)) < 1e-12
 
     def test_empty_window(self):
         sym = TrigSymbol.from_cosine([2.0, -2.0])
@@ -449,15 +490,15 @@ class TestWeylGap:
         for N in (64, 256):
             lam = laplacian_spectrum(N)[:N]
             theta = -np.pi + 2 * np.pi * np.arange(1, N + 1) / (N + 1)
-            direct = abs(np.sum(lam) - np.sum(sym(theta))) / N
-            got = weyl_gap(sym, N, [lambda x: x])
+            direct = max(abs(np.sum(h(lam)) - np.sum(h(sym(theta)))) / N
+                         for h in spectra.WEYL_TEST_FUNCTIONS)
+            got = weyl_gap(sym, N)
             assert abs(got - direct) < 1e-10
             gaps[N] = got
         assert gaps[256] < gaps[64]
 
     def test_one_pole_gap_small(self):
-        gap = weyl_gap(TrigSymbol.from_cosine([1.25, -1.0]), 128,
-                       [lambda x: x])
+        gap = weyl_gap(TrigSymbol.from_cosine([1.25, -1.0]), 128)
         assert gap <= 0.05
 
 
