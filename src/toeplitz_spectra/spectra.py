@@ -294,11 +294,9 @@ def _antecedent_partners(px: np.ndarray, lams) -> np.ndarray:
     comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
     x = np.linalg.eigvals(comp).astype(complex)
     real_in = (np.abs(x.imag) < 1e-11) & (np.abs(x.real) <= 1.0 - 1e-11)
-    th = np.arccos(np.clip(x.real, -1.0, 1.0))
-    disc = np.sqrt(x * x - 1.0)
-    w1, w2 = x + disc, x - disc
-    w = np.where(np.abs(w1) < np.abs(w2), w1, w2)
-    return np.where(real_in, np.cos(th) - 1j * np.sin(th), w)
+    x = np.where(real_in, x.real + 0j, x)       # on the cut from above
+    # the branch of x - sqrt(x^2 - 1) cut along [-1, 1] maps into the disk
+    return x - np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
 
 
 def characteristic_matrix(omegas: np.ndarray, N: int) -> np.ndarray:
@@ -307,35 +305,26 @@ def characteristic_matrix(omegas: np.ndarray, N: int) -> np.ndarray:
     ``omegas`` is (S, r) and M (S, r, r).  That module's docstring gives
     M = V V, V = Hd L(g), Hd[i, e] = d[N+2+i+e] with d the series of 1/g.
     The far d come from a companion power (log N squarings), so coinciding
-    partners need no care.  Products run with the batch axis last.
+    partners need no care.
     """
-    om = np.asarray(omegas, dtype=complex).T
-    r, S = om.shape
-    g = np.zeros((r + 1, S), dtype=complex)
-    g[0] = 1.0
-    for w in om:
-        g[1:] -= w * g[:-1]
+    om = np.asarray(omegas, dtype=complex)
+    S, r = om.shape
+    g = np.zeros((S, 2 * r), dtype=complex)   # r - 1 zeros past g: g[-k] = 0
+    g[:, 0] = 1.0
+    for w in om.T:
+        g[:, 1:] -= w[:, None] * g[:, :-1]
     # C maps (d[n], ..., d[n+r-1]) to (d[n+1], ..., d[n+r]); at n = -r+1
     # that window is e_last
-    C = np.zeros((r, r, S), dtype=complex)
-    C[np.arange(r - 1), np.arange(1, r)] = 1.0
-    C[-1] = -g[:0:-1]
-    far = np.zeros((2 * r - 1, S), dtype=complex)       # d[N+2..N+2r]
-    far[r - 1] = 1.0
-    n = N + r + 1
-    while n:                  # far[:r] = C^{N+r+1} e_last, by squaring
-        if n & 1:
-            far[:r] = np.einsum("ijs,js->is", C, far[:r])
-        C = np.einsum("ijs,jks->iks", C, C)
-        n >>= 1
-    for k in range(r, 2 * r - 1):
-        far[k] = -np.sum(g[:0:-1] * far[k - r:k], axis=0)
-    i = np.arange(r)
-    Hd = far[i[:, None] + i[None, :]]
-    lag = i[:, None] - i[None, :]
-    L = np.where((lag >= 0)[:, :, None], g[np.maximum(lag, 0)], 0.0)
-    V = np.einsum("ies,ejs->ijs", Hd, L)
-    return np.moveaxis(np.einsum("ies,ejs->ijs", V, V), -1, 0)
+    C = np.zeros((S, r, r), dtype=complex)
+    C[:, np.arange(r - 1), np.arange(1, r)] = 1.0
+    C[:, -1] = -g[:, r:0:-1]
+    far = np.empty((S, 2 * r - 1), dtype=complex)    # d[N+2..N+2r]
+    far[:, :r] = np.linalg.matrix_power(C, N + r + 1)[..., -1]
+    for k in range(r, 2 * r - 1):              # the last row of C steps d
+        far[:, k] = np.einsum("sj,sj->s", C[:, -1], far[:, k - r:k])
+    i = np.arange(r)                           # L(g)[e, j] = g[e - j]
+    V = far[:, i[:, None] + i] @ g[:, i[:, None] - i]
+    return V @ V
 
 
 @dataclass(frozen=True)

@@ -359,6 +359,21 @@ class TestCharacteristicMatrix:
                     err = np.max(np.abs(M[s] - want))
                     assert err <= 1e-11 * np.max(np.abs(want)), (r, N, s)
 
+    def test_partner_branches(self):
+        # omega + 1/omega = 2x in the disk; a root x in (-1, 1) gets
+        # e^{-i theta}, as the phase normalization expects
+        px = _x_polynomial(TrigSymbol.from_cosine([2.0, -2.0]))   # 2 - 2x
+        om = _antecedent_partners(px, [1.3, -1.0, 5.0])[:, 0]
+        want = [np.exp(-1j * np.arccos(0.35)), 1.5 - np.sqrt(1.25),
+                np.sqrt(1.25) - 1.5]
+        assert np.max(np.abs(om - want)) < 1e-15
+        px = _x_polynomial(TrigSymbol.from_cosine([3.0, -1.0, 0.4]))
+        om = _antecedent_partners(px, [1.0])[0]
+        x = np.roots((px - [1.0, 0.0, 0.0])[::-1])   # a complex pair
+        assert np.all(np.abs(om) < 1.0)
+        assert np.max(np.abs(np.sort_complex(om + 1 / om)
+                             - np.sort_complex(2 * x))) < 1e-13
+
     def test_unimodular_single_root(self):
         sym = TrigSymbol.from_cosine([2.0, -2.0])
         om = _antecedent_partners(_x_polynomial(sym), [1.3])
