@@ -14,11 +14,11 @@ phase-normalized sign scans.
 
 Every search is batched over its parameters: the antecedent roots x_j of
 all sampled lambda are the eigenvalues of one stack of companion matrices,
-the determinant is evaluated for the whole stack at once, and all
-bisections (derivative zeros, branch antecedents, determinant sign changes)
-run through one vectorised helper that stops once no bracket moves.  A
-determinant scan that finds fewer roots than the section has eigenvalues in
-its window raises MissedRoots.
+the determinant is evaluated for the whole stack at once, and every root
+(derivative zeros, branch antecedents, determinant sign changes) is refined
+by one vectorised bracketing root finder in about ten rounds.  A
+determinant scan that finds fewer roots than the section has eigenvalues
+in its window raises MissedRoots.
 """
 
 from __future__ import annotations
@@ -51,13 +51,15 @@ RESID_TOL = 1e-6
 # a root scan need not find eigenvalues this close to its window's edges
 ROOT_MARGIN = 1e-5
 BRANCH_GRID = 8193
+LOCALIZE_TABLE = 1025         # samples of f per branch that seed antecedents
+ROOT_STEPS = 100
 MINIMIZER_GRID = 8192
 WEYL_TEST_FUNCTIONS = (lambda x: x, lambda x: x ** 2, lambda x: x ** 3,
                        lambda x: x ** 4, np.abs, np.exp)
 
 
 # ---------------------------------------------------------------------------
-# banded Hermitian eigensolver and batched bisection
+# banded Hermitian eigensolver and batched root finder
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -114,32 +116,51 @@ def hermitian_eigen(M: DenseMatrix) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=lam)
 
 
-def _bisect(g: Callable[[np.ndarray], np.ndarray], lo, hi, steps: int
-            ) -> np.ndarray:
-    """Bisection of many brackets [lo, hi] at once, at most ``steps`` steps.
+def _root(g: Callable[[np.ndarray], np.ndarray], lo, hi, g_lo, g_hi
+          ) -> np.ndarray:
+    """Roots of a real function ``g`` in many brackets [lo, hi] at once.
 
-    ``g`` maps the array of midpoints to an array of the same shape: where
-    it is positive a bracket keeps its upper half, where it is zero or
-    negative its lower half, and where it is NaN (the bisected function is
-    undefined there) the bracket stays as it is.  Each bracket moves by its
-    own midpoint only, so a step that moves no bracket (all of them down to
-    one ulp or frozen) would repeat forever: the loop stops there, with the
-    same result as running all ``steps``.  Returns the midpoints of the
-    final brackets.
+    ``g`` maps an array of points, one per bracket, to the function values;
+    ``g_lo`` and ``g_hi`` are its values at the ends, of opposite signs or
+    zero.  Chandrupatla's method (Adv. Eng. Software 28, 1997): each step
+    takes the inverse quadratic through the last three points where it
+    stays inside the bracket, else the midpoint, and keeps the half with the
+    sign change.  A bracket stops when it is within 4 eps max(|x|, 1) or g
+    is exactly 0 at an end, all of them after ROOT_STEPS evaluations.
+    Returns, per bracket, the end where |g| is smaller.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    if not lo.size:
-        return lo
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        s = g(mid)
-        new_lo = np.where(s > 0, mid, lo)
-        new_hi = np.where(s <= 0, mid, hi)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+    x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    f1, f2 = np.array(g_lo, dtype=float), np.array(g_hi, dtype=float)
+    x3, f3, t, evals = x2, f2, 0.5, 0
+    while True:
+        near = np.abs(f1) < np.abs(f2)
+        xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
+        tol = 4 * np.finfo(float).eps * np.maximum(np.abs(xm), 1.0)
+        dx = np.abs(x2 - x1)
+        live = (fm != 0) & (dx > tol)
+        if not live.any() or evals == ROOT_STEPS:
             break
-        lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
+        if evals:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+                iqi = (f1 / (f1 - f2) * f3 / (f3 - f2) - (x3 - x1) / (x2 - x1)
+                       * f1 / (f3 - f1) * f2 / (f2 - f3))
+            t = np.where((phi ** 2 < xi) & ((1 - phi) ** 2 < 1 - xi), iqi, 0.5)
+            # a step of at least tol/2, and t = 1/2 where a bracket is done
+            tl = 0.5 * tol / np.maximum(dx, tol)
+            t = np.clip(t, tl, 1 - tl)
+        xt = np.where(live, x1 + t * (x2 - x1), x1)
+        ft = g(xt)
+        evals += 1
+        # x3 takes the end that xt replaces
+        same = live & (np.sign(ft) == np.sign(f1))
+        flip = live & ~same
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(flip, x1, x2), np.where(flip, f1, f2)
+        x1, f1 = np.where(live, xt, x1), np.where(live, ft, f1)
+    log.debug("root: %d brackets, %d evaluations, largest final |g| %.3e",
+              xm.size, evals, float(np.max(np.abs(fm), initial=0.0)))
+    return xm
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +188,8 @@ def monotone_branches(sym: TrigSymbol):
     df = sym.derivative(theta)
     flat = (df[:-1] == 0.0) & (np.arange(BRANCH_GRID - 1) > 0)
     change = df[:-1] * df[1:] < 0
-    # a derivative zero keeps the half whose left end has the left sign
-    sign = np.sign(df[:-1][change])
-    zeros = _bisect(lambda m: sign * sym.derivative(m),
-                    theta[:-1][change], theta[1:][change], 80)
+    zeros = _root(sym.derivative, theta[:-1][change], theta[1:][change],
+                  df[:-1][change], df[1:][change])
     cuts = sorted({0.0, np.pi, *theta[:-1][flat].tolist(), *zeros.tolist()})
     merged = [cuts[0]]
     for c in cuts[1:]:
@@ -186,12 +205,13 @@ def grid_localize(sym: TrigSymbol, N: int, eig: EigenDecomposition
     """Assign each eigenvalue a grid point k pi/(N+2) through an antecedent.
 
     For every eigenvalue the antecedents on all monotone branches are
-    bisected and the assignment eigenvalue -> (branch, k) minimizing the
-    total grid distance is chosen, injectively per branch.  Raises
-    LocalizationFailure when some eigenvalue has no antecedent slot, and its
-    subclass FlatSymbol up front when the symbol's range is within the
-    rounding (N + 1) eps max|f| of the section's eigenvalues: there every
-    antecedent is an artefact of rounding.
+    roots of f(theta) - lambda, each refined from the cell of a table of f
+    on its branch that brackets it, and the assignment eigenvalue ->
+    (branch, k) minimizing the total grid distance is chosen, injectively
+    per branch.  Raises LocalizationFailure when some eigenvalue has no
+    antecedent slot, and its subclass FlatSymbol up front when the symbol's
+    range is within the rounding (N + 1) eps max|f| of the section's
+    eigenvalues: there every antecedent is an artefact of rounding.
     """
     lams = eig.eigenvalues
     if sym.degree == 0:
@@ -222,10 +242,15 @@ def grid_localize(sym: TrigSymbol, N: int, eig: EigenDecomposition
         lo, hi = min(fa, fb), max(fa, fb)
         on = (lam_c >= lo - 1e-12 * span) & (lam_c <= hi + 1e-12 * span)
         target = np.clip(lam_c[on], lo, hi)
-        inc = fb >= fa
-        theta[on, bi] = _bisect(lambda m: (sym(m) < target) == inc,
-                                np.full(target.size, a),
-                                np.full(target.size, b), 90)
+        # the first table cell that straddles the target, on rising f
+        ts = np.linspace(a, b, LOCALIZE_TABLE)
+        tab = sym(ts)
+        tab[[0, -1]] = fa, fb  # the ends that the targets are clipped to
+        up = 1.0 if fb >= fa else -1.0
+        i = np.searchsorted(np.maximum.accumulate(up * tab), up * target)
+        i = np.maximum(i - 1, 0)  # 0 only where the target is f(a)
+        theta[on, bi] = _root(lambda m: sym(m) - target, ts[i], ts[i + 1],
+                              tab[i] - target, tab[i + 1] - target)
     orphan = np.flatnonzero(np.isnan(theta).all(axis=1))
     if orphan.size:
         raise LocalizationFailure(
@@ -334,11 +359,10 @@ class DetRootsResult:
 
 
 def _critical_values(sym: TrigSymbol) -> list[float]:
-    vals = sym(np.array([0.0, np.pi])).tolist()
-    for a, b, fa, fb in monotone_branches(sym):
-        vals.extend([fa, fb])
+    """f at the ends of its monotone branches, which include 0 and pi."""
     out = []
-    for v in sorted(vals):
+    ends = [v for _, _, fa, fb in monotone_branches(sym) for v in (fa, fb)]
+    for v in sorted(ends):
         if not out or v - out[-1] > 1e-12:
             out.append(v)
     return out
@@ -366,14 +390,16 @@ def det_equation_roots(sym: TrigSymbol, N: int,
     one batch, the antecedent roots of every sample coming from one stack
     of companion-matrix eigenvalue problems.  Guard bands of width
     CRIT_TOL around critical values of the symbol are skipped (reported
-    in the result), and all sign changes of the phase-normalized real part
-    are bisected together.  Refined roots must pass a determinant-residual
-    test; their normalized imaginary part is asserted below 1e-8.  The root
-    count is certified against the eigenvalues of the order-N section that
-    lie inside the window by more than 1e-5 and outside every guard window
-    widened by one sample step: fewer roots than those raise MissedRoots
-    (a sign scan cannot see two roots in one sample interval, nor a root
-    where the normalized determinant is nearly imaginary).
+    in the result), and the roots of the phase-normalized real part are
+    refined from all of its sign changes together.  A determinant-residual
+    test rejects the refined points where that real part jumps or crosses
+    zero away from a root, and the normalized imaginary part at a root is
+    asserted below 1e-8.  The root count is certified against the
+    eigenvalues of the order-N section that lie inside the window by more
+    than 1e-5 and outside every guard window widened by one sample step:
+    fewer roots than those raise MissedRoots (a sign scan cannot see two
+    roots in one sample interval, nor a root where the normalized
+    determinant is nearly imaginary).
     """
     if n_samples < 2:
         raise ValueError("a determinant scan needs at least two samples")
@@ -391,10 +417,9 @@ def det_equation_roots(sym: TrigSymbol, N: int,
     ra = np.where(re[:-1] == 0.0, 1e-300, re[:-1])
     brackets = np.flatnonzero(ok[:-1] & ok[1:] & (n_uni[:-1] == n_uni[1:])
                               & (ra * re[1:] < 0))
-    # a bracket keeps the half whose left end has its left sample's sign
-    sign = np.sign(ra[brackets])
-    mids = _bisect(lambda m: sign * _det_normalized(px, m, N)[0].real,
-                   lams[brackets], lams[brackets + 1], 80)
+    mids = _root(lambda m: _det_normalized(px, m, N)[0].real,
+                 lams[brackets], lams[brackets + 1], re[brackets],
+                 re[brackets + 1])
     Dn_mids, D_mids, _ = _det_normalized(px, mids, N)
     roots = []
     for lam_root, Dn_r, D_r in zip(mids.tolist(), Dn_mids, D_mids):

@@ -149,9 +149,8 @@ def dense_eigvalsh(M):
 def bisect_fixed(g, lo, hi, steps):
     """Bisection of many brackets at once that always runs ``steps`` steps.
 
-    Same bracket rule as ``spectra._bisect`` (g > 0 keeps the upper half,
-    g <= 0 the lower half, NaN freezes the bracket), without its stop at
-    the fixed point.
+    g > 0 at a midpoint keeps the upper half, g <= 0 the lower half, and
+    NaN freezes the bracket.  The oracle for ``spectra._root``.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)

@@ -7,7 +7,6 @@ asserts the criterion at the stated tolerance.
 import time
 
 import numpy as np
-import pytest
 
 from toeplitz_spectra.band_decay import (
     BandSymbol,
@@ -30,7 +29,7 @@ from toeplitz_spectra.spectra import (
     _unique_minimizer,
 )
 from toeplitz_spectra.errors import NonUniqueMinimum
-from toeplitz_spectra.symbol_core import TrigSymbol, fourier_coeffs, wiener_hopf_factor
+from toeplitz_spectra.symbol_core import TrigSymbol, wiener_hopf_factor
 from toeplitz_spectra.toeplitz_core import build, dense_invert
 
 from helpers import symbol_from_inside_roots

@@ -41,6 +41,12 @@ from helpers import (
 )
 
 CRITERION_02 = TrigSymbol.from_cosine([4.870821, 0.243767, -0.262014, 0.02278])
+EPS = np.finfo(float).eps
+
+
+def root_tol(x):
+    """The bracket width at which ``spectra._root`` stops."""
+    return 4 * EPS * np.maximum(np.abs(x), 1.0)
 
 
 def laplacian_spectrum(N):
@@ -167,26 +173,31 @@ class TestBandEigen:
         assert hermitian_eigen(np.zeros((0, 0))).n == 0
 
 
-class TestBisect:
+class TestRoot:
     @staticmethod
     def record(monkeypatch):
-        """Route every ``_bisect`` call past the fixed-count oracle."""
+        """Route every ``_root`` call past the bisection oracle, counting
+        the evaluations of its function; records (root, oracle root,
+        evaluations, |g| at both)."""
         calls = []
-        real = spectra._bisect
+        real = spectra._root
 
-        def checked(g, lo, hi, steps):
+        def checked(g, lo, hi, g_lo, g_hi):
             count = [0]
 
             def counted(m):
                 count[0] += 1
                 return g(m)
 
-            got = real(counted, lo, hi, steps)
-            want = bisect_fixed(g, lo, hi, steps)
-            calls.append((got, want, count[0], steps))
+            got = real(counted, lo, hi, g_lo, g_hi)
+            # the oracle keeps the upper half where its function is positive
+            s = np.where(np.asarray(g_lo) != 0, np.sign(g_lo), -np.sign(g_hi))
+            want = bisect_fixed(lambda m: s * g(m), lo, hi, 100)
+            calls.append((got, want, count[0], np.abs(g(got)),
+                          np.abs(g(want))))
             return got
 
-        monkeypatch.setattr(spectra, "_bisect", checked)
+        monkeypatch.setattr(spectra, "_root", checked)
         return calls
 
     def test_branches_and_localization_match_oracle(self, monkeypatch):
@@ -194,49 +205,135 @@ class TestBisect:
         N = 256
         eig = hermitian_eigen(build(CRITERION_02, N).dense())
         grid_localize(CRITERION_02, N, eig)
-        assert len(calls) >= 2
-        for got, want, count, steps in calls:
-            assert np.array_equal(got, want)
-            # every bracket lies inside [0, pi]
-            assert count <= 64
+        f_max = np.abs(CRITERION_02.cosine_coeffs()).sum()
+        # the derivative zero, then one antecedent refinement per branch
+        assert [c[0].size for c in calls] == [1, 174, 257]
+        got, want, _, g_got, g_want = calls[0]
+        assert abs(got[0] - want[0]) <= root_tol(want[0])
+        # near an extremum f - lambda is flat, and its rounded values change
+        # sign more than once within about 1e-13 of the antecedent: there the
+        # two finders may stop at different sign changes, so compare the
+        # residuals, which both leave at rounding level
+        for got, want, _, g_got, g_want in calls[1:]:
+            assert np.max(g_got) <= np.max(g_want) <= 4 * EPS * f_max
+
+    def test_localization_symbol_evaluations(self, monkeypatch):
+        N = 256
+        eig = hermitian_eigen(build(CRITERION_02, N).dense())
+        n_branches = len(monotone_branches(CRITERION_02))
+        evals = [0]
+        real_call = TrigSymbol.__call__
+
+        def counted(sym, theta):
+            evals[0] += 1
+            return real_call(sym, theta)
+
+        monkeypatch.setattr(TrigSymbol, "__call__", counted)
+        grid_localize(CRITERION_02, N, eig)
+        assert evals[0] <= 25 * n_branches
 
     def test_det_scan_matches_oracle(self, monkeypatch):
         calls = self.record(monkeypatch)
         sym = TrigSymbol.from_cosine([2.1, -2.0, -0.1])
         res = det_equation_roots(sym, 8, (0.05, 3.95), n_samples=240)
         assert len(res.roots) == 9
-        det_calls = [c for c in calls if c[3] == 80 and c[0].size == 9]
-        assert det_calls
-        for got, want, count, steps in calls:
-            assert np.array_equal(got, want)
-            assert count < steps
+        (got, want, count, _, _), = [c for c in calls if c[0].size]
+        assert got.size == 9
+        assert np.all(np.abs(got - want) <= root_tol(want))
+        assert count <= 12
 
-    def test_nan_freezes_bracket(self):
-        lo, hi = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
-        root = np.array([0.3, 1.7, 2.2])
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 5.0),
+                              st.floats(0.0, 5.0), st.sampled_from([-1, 1]),
+                              st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+                    min_size=1, max_size=8))
+    def test_monotone_cubics_property(self, cubics):
+        # g = s t (a + b t^2), t = x - r, is monotone with its only sign
+        # change exactly at r, so the rounded g has no spurious roots
+        r, a, b, s, u, v = map(np.array, zip(*cubics))
 
-        def g(m):
-            s = root - m            # positive below the root
-            s[1] = np.nan
-            return s
+        def g(x):
+            t = x - r
+            return s * t * (a + b * t * t)
 
-        got = spectra._bisect(g, lo, hi, 80)
-        assert np.array_equal(got, bisect_fixed(g, lo, hi, 80))
-        assert got[1] == 1.5
-        assert np.max(np.abs(got[[0, 2]] - root[[0, 2]])) < 1e-15
+        lo, hi = r - u, r + v
+        got = spectra._root(g, lo, hi, g(lo), g(hi))
+        want = bisect_fixed(lambda m: -s * g(m), lo, hi, 100)
+        assert np.all(np.abs(got - r) <= root_tol(r))
+        assert np.all(np.abs(got - want)
+                      <= root_tol(want) + np.spacing(np.abs(want)))
 
-    def test_steps_cap(self):
-        # the bracket closes on 0, whose ulp no fixed count of halvings
-        # reaches: all steps run
+    def test_exact_zero_at_an_end(self):
         count = [0]
 
-        def g(m):
+        def g(x):
             count[0] += 1
-            return -m
+            return x - 0.5
 
-        got = spectra._bisect(g, [0.0], [1.0], 80)
-        assert count[0] == 80
-        assert np.array_equal(got, bisect_fixed(np.negative, [0.0], [1.0], 80))
+        got = spectra._root(g, [0.5, 0.0], [1.0, 0.5], [0.0, -0.5], [0.5, 0.0])
+        assert count[0] == 0 and np.array_equal(got, [0.5, 0.5])
+        # a midpoint that hits the root stops after that evaluation
+        got = spectra._root(g, [0.0], [1.0], [-0.5], [0.5])
+        assert count[0] == 1 and got[0] == 0.5
+
+    def test_jump_closes_within_cap(self):
+        count = [0]
+        c = 0.3
+
+        def g(x):
+            count[0] += 1
+            return np.where(x < c, -1.0, 1.0) + 0.1 * (x - c)
+
+        got = spectra._root(g, [0.0], [1.0], g(0.0), g(1.0))
+        assert 1 < count[0] < spectra.ROOT_STEPS
+        assert abs(got[0] - c) <= root_tol(c)
+
+    def test_jump_rejected_by_residual(self, monkeypatch, caplog):
+        # flip the sign of det(I - M) above c, in a sample interval without
+        # an eigenvalue: the scan gains a sign change there, the finder
+        # closes in on c, and the residual |D(c)| rejects it
+        sym = TrigSymbol.from_cosine([2.1, -2.0, -0.1])
+        window, n = (0.05, 3.95), 240
+        plain = det_equation_roots(sym, 8, window, n_samples=n)
+        lams = np.linspace(*window, n)
+        mid = 0.5 * (lams[:-1] + lams[1:])
+        c = mid[np.argmax(np.min(np.abs(mid[:, None] - plain.roots), axis=1))]
+        real_det = spectra._det_normalized
+
+        def flipped(px, m, N):
+            Dn, D, n_uni = real_det(px, m, N)
+            s = np.where(np.asarray(m) > c, -1.0, 1.0)
+            return Dn * s, D * s, n_uni
+
+        calls = self.record(monkeypatch)
+        monkeypatch.setattr(spectra, "_det_normalized", flipped)
+        with caplog.at_level("DEBUG", logger="toeplitz_spectra"):
+            res = det_equation_roots(sym, 8, window, n_samples=n)
+        assert res.roots == plain.roots
+        (got, _, count, _, _), = [k for k in calls if k[0].size]
+        assert got.size == 10 and count < spectra.ROOT_STEPS
+        assert np.min(np.abs(got - c)) <= root_tol(c)
+        assert any(r.getMessage().startswith("rejecting pseudo-crossing")
+                   for r in caplog.records)
+
+    def test_step_cap(self):
+        # halving a bracket of width 2e300 down to 4 eps would take about
+        # 1 050 steps: the cap stops it after ROOT_STEPS evaluations
+        count = [0]
+
+        def g(x):
+            count[0] += 1
+            return np.where(x < 0.3, -1.0, 1.0)
+
+        got = spectra._root(g, [-1e300], [1e300], [-1.0], [1.0])
+        assert count[0] == spectra.ROOT_STEPS
+        assert np.isfinite(got[0])
+
+    def test_logs_evaluations(self, caplog):
+        with caplog.at_level("DEBUG", logger="toeplitz_spectra"):
+            spectra._root(lambda x: x - 0.25, [0.0], [1.0], [-0.25], [0.75])
+        (rec,) = [r for r in caplog.records if r.msg.startswith("root:")]
+        assert rec.args == (1, 2, 0.0)
 
 
 class TestGridLocalize:

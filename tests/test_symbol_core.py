@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings, strategies as st
 from toeplitz_spectra.errors import (
     AliasingRisk,
     DegeneratePoles,
-    UnbalancedWinding,
     UnitModulusRoot,
 )
 from toeplitz_spectra.symbol_core import (
@@ -19,7 +18,7 @@ from toeplitz_spectra.symbol_core import (
     wiener_hopf_factor,
 )
 
-from helpers import poly_from_factors, symbol_from_inside_roots
+from helpers import symbol_from_inside_roots
 
 
 class TestFourierCoeffs:
