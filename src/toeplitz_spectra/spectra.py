@@ -18,18 +18,21 @@ the determinant is evaluated for the whole stack at once, and every root
 (derivative zeros, branch antecedents, determinant sign changes) is refined
 by one vectorised bracketing root finder in about ten rounds.  A
 determinant scan that finds fewer roots than the section has eigenvalues
-in its window raises MissedRoots.
+in its window raises MissedRoots.  Grid localization gives the eigenvalues
+distinct slots (branch, k) next to their antecedents, at least total
+squared grid distance.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
+from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     EigenFailure,
@@ -91,8 +94,12 @@ def hermitian_eigen(M: DenseMatrix) -> EigenDecomposition:
         raise NonFiniteMatrix(f"matrix has {bad} non-finite entries",
                               count=bad)
     n = M.shape[0]
-    rows, cols = np.nonzero(M)
-    w = int(np.max(np.abs(rows - cols))) if rows.size else 0
+    # the first and last nonzero column of each row; argmax gives 0 on a
+    # zero row, which the mask drops
+    nz, i = M != 0, np.arange(n)
+    first = nz.argmax(axis=1) if n else i
+    last = n - 1 - nz[:, ::-1].argmax(axis=1) if n else i
+    w = int(np.max(np.maximum(i - first, last - i)[nz[i, first]], initial=0))
     # lower[k, j] = M[j + k, j] and upper[k, j] = M[j, j + k], zero-padded
     k = np.arange(w + 1)[:, None]
     j = np.arange(n)
@@ -182,8 +189,15 @@ class GridLocation:
     eigenvalue: float = 0.0
 
 
-def monotone_branches(sym: TrigSymbol):
-    """Maximal monotone pieces (a, b, f(a), f(b)) of the symbol on [0, pi]."""
+def monotone_branches(sym: TrigSymbol) -> tuple:
+    """Maximal monotone pieces (a, b, f(a), f(b)) of the symbol on [0, pi],
+    kept for the last symbol asked for (localization, then the det scan)."""
+    return _branches(sym.coeffs.tobytes())
+
+
+@lru_cache(maxsize=1)
+def _branches(coeffs: bytes) -> tuple:
+    sym = TrigSymbol(np.frombuffer(coeffs, dtype=complex))
     theta = np.linspace(0.0, np.pi, BRANCH_GRID)
     df = sym.derivative(theta)
     flat = (df[:-1] == 0.0) & (np.arange(BRANCH_GRID - 1) > 0)
@@ -196,8 +210,7 @@ def monotone_branches(sym: TrigSymbol):
         if c - merged[-1] > 1e-9:
             merged.append(c)
     vals = sym(np.array(merged)).tolist()
-    return [(a, b, fa, fb) for a, b, fa, fb
-            in zip(merged[:-1], merged[1:], vals[:-1], vals[1:])]
+    return tuple(zip(merged[:-1], merged[1:], vals[:-1], vals[1:]))
 
 
 def grid_localize(sym: TrigSymbol, N: int, eig: EigenDecomposition
@@ -206,10 +219,9 @@ def grid_localize(sym: TrigSymbol, N: int, eig: EigenDecomposition
 
     For every eigenvalue the antecedents on all monotone branches are
     roots of f(theta) - lambda, each refined from the cell of a table of f
-    on its branch that brackets it, and the assignment eigenvalue ->
-    (branch, k) minimizing the total grid distance is chosen, injectively
-    per branch.  Raises LocalizationFailure when some eigenvalue has no
-    antecedent slot, and its subclass FlatSymbol up front when the symbol's
+    on its branch that brackets it, and ``_slot_assignment`` picks the
+    slots (branch, k).  Raises LocalizationFailure when some eigenvalue
+    gets no slot, and its subclass FlatSymbol up front when the symbol's
     range is within the rounding (N + 1) eps max|f| of the section's
     eigenvalues: there every antecedent is an artefact of rounding.
     """
@@ -251,43 +263,50 @@ def grid_localize(sym: TrigSymbol, N: int, eig: EigenDecomposition
         i = np.maximum(i - 1, 0)  # 0 only where the target is f(a)
         theta[on, bi] = _root(lambda m: sym(m) - target, ts[i], ts[i + 1],
                               tab[i] - target, tab[i + 1] - target)
-    orphan = np.flatnonzero(np.isnan(theta).all(axis=1))
-    if orphan.size:
-        raise LocalizationFailure(
-            f"eigenvalue {lams[orphan[0]]} has no antecedent on any branch")
-    # candidate slots (branch, k) for k next to each antecedent, listed in
-    # eigenvalue-major, branch, k order; slots are numbered by first
-    # appearance in that order, which fixes how the assignment breaks ties
-    jj, bb = np.nonzero(~np.isnan(theta))
-    k0 = np.rint(theta[jj, bb] / grid_step).astype(int)
-    J, B = np.repeat(jj, 3), np.repeat(bb, 3)
+    branch, k = _slot_assignment(theta, N)
+    theta_star = theta[np.arange(lams.size), branch]
+    shift = (theta_star - k * grid_step) * N / np.pi
+    return [GridLocation(k=int(kj), theta_shift=float(sj), theta_star=float(tj),
+                         branch=int(bj), eigenvalue=float(lj))
+            for kj, sj, tj, bj, lj in zip(k, shift, theta_star, branch, lams)]
+
+
+def _slot_assignment(theta: np.ndarray, N: int) -> tuple:
+    """Injective slots (branch, k) of least total squared grid distance.
+
+    ``theta[j, b]``, the antecedent of eigenvalue j on branch b (NaN: none),
+    offers the three grid points around it; raises LocalizationFailure
+    when no assignment covers every eigenvalue."""
+    n_eig = theta.shape[0]
+    grid_step = np.pi / (N + 2)
+    J, B = np.nonzero(~np.isnan(theta))
+    k0 = np.rint(theta[J, B] / grid_step).astype(int)
+    J, B = np.repeat(J, 3), np.repeat(B, 3)
     K = (k0[:, None] + np.arange(-1, 2)).ravel()
     keep = (K >= 0) & (K <= N + 1)
     J, B, K = J[keep], B[keep], K[keep]
-    T = theta[J, B]
-    _, first, inverse = np.unique(B * (N + 2) + K, return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    head = first[order]              # candidate that first names each slot
-    slot = np.argsort(order)[inverse]
-    n_eig = lams.size
-    BIG = 1e9
-    cost = np.full((n_eig, max(head.size, n_eig)), BIG)
-    cost[J, slot] = (np.abs(T - K * grid_step) / grid_step) ** 2
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    out = [None] * n_eig
-    for j, si in zip(rows, cols):
-        if cost[j, si] >= BIG:
-            raise LocalizationFailure(
-                f"no injective grid assignment for eigenvalue "
-                f"{lams[j]} (slot exhaustion)")
-        bi, k = int(B[head[si]]), int(K[head[si]])
-        theta_star = float(theta[j, bi])
-        shift = (theta_star - k * grid_step) * N / np.pi
-        out[j] = GridLocation(k=k, theta_shift=float(shift),
-                              theta_star=theta_star, branch=bi,
-                              eigenvalue=float(lams[j]))
-    return out
+    cost = ((theta[J, B] - K * grid_step) / grid_step) ** 2
+    slot = B * (N + 2) + K
+    # each eigenvalue's cheapest slot: if they are distinct, they reach the
+    # sum of the row minima; else a dense assignment over the candidates
+    order = np.lexsort((cost, J))
+    best = slot[order][np.r_[True, np.diff(J[order]) > 0]]
+    if np.unique(best).size == n_eig:
+        return np.divmod(best, N + 2)
+    # rows in golden-ratio order: in lambda order each row displaces the run
+    # below it, and augmenting paths grow long (20x slower at N = 4096)
+    rows = np.argsort(np.arange(n_eig) * 0.6180339887498949 % 1.0)
+    slots, col = np.unique(slot, return_inverse=True)
+    dense = np.full((n_eig, max(slots.size, n_eig)), np.inf)
+    dense[np.argsort(rows)[J], col] = cost
+    try:
+        _, picked = linear_sum_assignment(dense)
+    except ValueError:
+        raise LocalizationFailure(
+            f"no injective grid assignment for the {n_eig} eigenvalues "
+            f"(slot exhaustion)") from None
+    best[rows] = slots[picked]
+    return np.divmod(best, N + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +377,6 @@ class DetRootsResult:
     excluded: tuple           # (lo, hi) guard windows around critical values
 
 
-def _critical_values(sym: TrigSymbol) -> list[float]:
-    """f at the ends of its monotone branches, which include 0 and pi."""
-    out = []
-    ends = [v for _, _, fa, fb in monotone_branches(sym) for v in (fa, fb)]
-    for v in sorted(ends):
-        if not out or v - out[-1] > 1e-12:
-            out.append(v)
-    return out
-
-
 def _det_normalized(px: np.ndarray, lams: np.ndarray, N: int):
     """Phase-normalized det(I - M(lambda)), the determinant, and the count of
     unimodular partners, per lambda; each unimodular partner omega puts
@@ -406,7 +415,9 @@ def det_equation_roots(sym: TrigSymbol, N: int,
     lo, hi = lambda_window
     px = _x_polynomial(sym)
     lams = np.linspace(lo, hi, n_samples)
-    crit = np.array(_critical_values(sym))
+    # critical values: f at the ends of the monotone branches
+    crit = np.array([v for *_, fa, fb in monotone_branches(sym)
+                     for v in (fa, fb)])
     guard = np.any(np.abs(lams[:, None] - crit) < CRIT_TOL, axis=1)
     ok = ~guard
     Dn = np.full(n_samples, np.nan, dtype=complex)

@@ -49,9 +49,10 @@ class TrigSymbol:
     """Real symbol theta -> sum_{|j| <= d} coeffs[j] e^{i j theta}.
 
     ``coeffs`` stores hat(f)(-d..d) in ascending index order, so
-    ``coeffs[d + j]`` is the j-th Fourier coefficient.  Construction enforces
-    Hermitian symmetry (real symbol); ``parity`` marks even symbols, whose
-    coefficients are real and symmetric.
+    ``coeffs[d + j]`` is the j-th Fourier coefficient c_j.  Construction
+    enforces Hermitian symmetry (real symbol): f = c_0 + 2 Re sum_{j>=1} c_j
+    z^j at z = e^{i theta}, evaluated by Horner in z, as is f'.  ``parity``
+    marks even symbols, whose coefficients are real and symmetric.
     """
 
     coeffs: np.ndarray
@@ -124,18 +125,12 @@ class TrigSymbol:
         return out
 
     def __call__(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
         d = self.degree
-        js = np.arange(-d, d + 1)
-        vals = np.exp(1j * np.multiply.outer(theta, js)) @ self.coeffs
-        return np.real(vals)
+        return self.coeffs[d].real + _horner(self.coeffs[d + 1:], theta)
 
     def derivative(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
         d = self.degree
-        js = np.arange(-d, d + 1)
-        vals = np.exp(1j * np.multiply.outer(theta, js)) @ (1j * js * self.coeffs)
-        return np.real(vals)
+        return _horner(1j * np.arange(1, d + 1) * self.coeffs[d + 1:], theta)
 
     def cosine_coeffs(self) -> np.ndarray:
         """Coefficients c_j with f = sum c_j cos(j theta); requires parity."""
@@ -150,6 +145,16 @@ class TrigSymbol:
     def range_on_grid(self) -> tuple[float, float]:
         vals = self(np.linspace(0.0, 2.0 * np.pi, RANGE_GRID, endpoint=False))
         return float(vals.min()), float(vals.max())
+
+
+def _horner(a: np.ndarray, theta) -> np.ndarray:
+    """2 Re sum_{j >= 1} a[j-1] z^j at z = e^{i theta}, by Horner in z."""
+    z = np.exp(1j * np.asarray(theta, dtype=float))
+    acc = np.zeros_like(z)
+    for c in a[::-1]:
+        acc += c
+        acc *= z
+    return 2.0 * acc.real
 
 
 def fourier_coeffs(f: Callable[[np.ndarray], np.ndarray], d: int,

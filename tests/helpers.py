@@ -6,6 +6,7 @@ linear algebra), so the two sides never share a bug.
 """
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from toeplitz_spectra.symbol_core import TrigSymbol
 
@@ -162,3 +163,56 @@ def bisect_fixed(g, lo, hi, steps):
         lo = np.where(s > 0, mid, lo)
         hi = np.where(s <= 0, mid, hi)
     return 0.5 * (lo + hi)
+
+
+def exp_sum_symbol(sym, theta):
+    """f and f' of a TrigSymbol from the full exponential sum over -d..d.
+
+    The (M, 2d+1) matrix of e^{i j theta} route that Horner evaluation
+    replaced; the oracle for ``TrigSymbol.__call__`` and ``derivative``.
+    """
+    theta = np.asarray(theta, dtype=float)
+    d = sym.degree
+    js = np.arange(-d, d + 1)
+    E = np.exp(1j * np.multiply.outer(theta, js))
+    return np.real(E @ sym.coeffs), np.real(E @ (1j * js * sym.coeffs))
+
+
+def dense_slot_assignment(theta, N):
+    """Grid slots (branch, k) by a dense padded linear_sum_assignment.
+
+    ``theta[j, b]`` is the antecedent of eigenvalue j on branch b (NaN:
+    none).  Each antecedent offers the grid points k pi/(N+2) next to it;
+    the cost matrix holds the squared grid distances, every other entry is
+    1e9, and slots are numbered by first appearance in eigenvalue-major,
+    branch, k order.  The route ``spectra._slot_assignment`` replaced.
+    Returns (branch, k) arrays, or None when some eigenvalue is left on a
+    padded entry (slot exhaustion).
+    """
+    grid_step = np.pi / (N + 2)
+    jj, bb = np.nonzero(~np.isnan(theta))
+    k0 = np.rint(theta[jj, bb] / grid_step).astype(int)
+    J, B = np.repeat(jj, 3), np.repeat(bb, 3)
+    K = (k0[:, None] + np.arange(-1, 2)).ravel()
+    keep = (K >= 0) & (K <= N + 1)
+    J, B, K = J[keep], B[keep], K[keep]
+    _, first, inverse = np.unique(B * (N + 2) + K, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    head = first[order]
+    slot = np.argsort(order)[inverse]
+    n_eig = theta.shape[0]
+    big = 1e9
+    cost = np.full((n_eig, max(head.size, n_eig)), big)
+    cost[J, slot] = ((theta[J, B] - K * grid_step) / grid_step) ** 2
+    rows, cols = linear_sum_assignment(cost)
+    if np.any(cost[rows, cols] >= big):
+        return None
+    return B[head[cols]], K[head[cols]]
+
+
+def slot_cost(theta, N, branch, k):
+    """Total squared grid distance of the assignment (branch, k)."""
+    grid_step = np.pi / (N + 2)
+    t = theta[np.arange(theta.shape[0]), branch]
+    return float(np.sum(((t - k * grid_step) / grid_step) ** 2))

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -36,7 +38,9 @@ from helpers import (
     char_poly_coeffs,
     closed_form_characteristic_matrix,
     dense_eigvalsh,
+    dense_slot_assignment,
     largest_eigenvalues,
+    slot_cost,
     symbol_from_inside_roots,
 )
 
@@ -111,6 +115,27 @@ class TestBandEigen:
     def test_even_real_section(self):
         sym = TrigSymbol.from_cosine([3.0, -1.0, 0.4, 0.2])
         self.assert_matches_oracle(build(sym, 200).dense())
+
+    def test_zero_rows_and_one_far_pair(self, monkeypatch):
+        # the bandwidth 7 comes from the one pair (2, 9) and (9, 2); zero
+        # rows (0, 5 and 11) and zero diagonal entries must not widen it
+        M = np.zeros((12, 12), dtype=complex)
+        M[[1, 3, 4, 6], [1, 3, 4, 6]] = [1.0, -2.0, 0.5, 3.0]
+        M[2, 9], M[9, 2] = 0.7 - 0.2j, 0.7 + 0.2j
+        M[7, 8] = M[8, 7] = 1.5
+        bands = []
+        real = scipy.linalg.eigvals_banded
+
+        def recording(band, **kwargs):
+            bands.append(band.shape)
+            return real(band, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvals_banded", recording)
+        self.assert_matches_oracle(M)
+        assert bands == [(8, 12)]
+        M[2, 9] += 1e-6
+        with pytest.raises(NotHermitian):
+            hermitian_eigen(M)
 
     def test_diagonal(self):
         d = np.random.default_rng(2).standard_normal(17)
@@ -201,6 +226,7 @@ class TestRoot:
         return calls
 
     def test_branches_and_localization_match_oracle(self, monkeypatch):
+        spectra._branches.cache_clear()
         calls = self.record(monkeypatch)
         N = 256
         eig = hermitian_eigen(build(CRITERION_02, N).dense())
@@ -437,6 +463,65 @@ class TestGridLocalize:
         with pytest.raises(LocalizationFailure):
             grid_localize(sym, 4, bad)
 
+    def test_slot_exhaustion(self):
+        # five copies of the eigenvalue 2 of f = 2 - 2 cos theta: one
+        # branch, one antecedent pi/2, and only three grid slots next to it
+        sym = TrigSymbol.from_cosine([2.0, -2.0])
+        eig = hermitian_eigen(build(sym, 4).dense())
+        five = type(eig)(eigenvalues=np.full(5, 2.0))
+        with pytest.raises(LocalizationFailure,
+                           match="slot exhaustion") as err:
+            grid_localize(sym, 4, five)
+        assert not isinstance(err.value, FlatSymbol)
+
+    @staticmethod
+    def assert_matches_dense(sym, N):
+        """grid_localize against the dense padded assignment on the same
+        antecedents: equal total cost, so the same slots wherever the
+        optimum is unique."""
+        seen = []
+        real = spectra._slot_assignment
+
+        def recording(theta, N):
+            seen.append(theta)
+            return real(theta, N)
+
+        eig = hermitian_eigen(build(sym, N).dense())
+        with mock.patch.object(spectra, "_slot_assignment", recording):
+            locs = grid_localize(sym, N, eig)
+        (theta,) = seen
+        got = (np.array([loc.branch for loc in locs]),
+               np.array([loc.k for loc in locs]))
+        want = dense_slot_assignment(theta, N)
+        assert want is not None
+        got_cost = slot_cost(theta, N, *got)
+        want_cost = slot_cost(theta, N, *want)
+        assert abs(got_cost - want_cost) <= 1e-9 * max(1.0, want_cost)
+        return all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(c0=st.floats(2.5, 5.0),
+           c=st.lists(st.floats(-1.0, 1.0), max_size=2),
+           top=st.floats(0.05, 1.0), sign=st.sampled_from([-1.0, 1.0]),
+           N=st.integers(16, 256))
+    def test_assignment_matches_dense_property(self, c0, c, top, sign, N):
+        self.assert_matches_dense(
+            TrigSymbol.from_cosine([c0, *c, sign * top]), N)
+
+    def test_assignment_matches_dense_with_ties(self):
+        # f = 2.5 + cos(j theta): the section splits into j interleaved
+        # tridiagonal blocks, so eigenvalues repeat and antecedents on the
+        # j branches mirror each other; every slot is wanted by several
+        # eigenvalues at equal cost
+        for cosine in ([2.5, 0.0, 1.0], [2.5, 0.0, 0.0, 1.0],
+                       [2.5, 0.0, 0.0, -1.0]):
+            for N in (16, 131, 256):
+                self.assert_matches_dense(TrigSymbol.from_cosine(cosine), N)
+
+    def test_assignment_matches_dense_criterion_02(self):
+        for N in (64, 256):
+            assert self.assert_matches_dense(CRITERION_02, N)
+
 
 class TestCharacteristicMatrix:
     def test_matches_rational_machinery(self):
@@ -638,6 +723,26 @@ class TestMinEigenReport:
 
 
 class TestMonotoneBranches:
+    def test_once_per_symbol(self, monkeypatch):
+        # localization and then the det scan of one symbol sample f' on the
+        # branch grid once; the next symbol gets its own branches
+        sym = TrigSymbol.from_cosine([2.1, -2.0, -0.1])
+        spectra._branches.cache_clear()
+        grids = [0]
+        real = TrigSymbol.derivative
+
+        def counted(self, theta):
+            grids[0] += np.size(theta) == spectra.BRANCH_GRID
+            return real(self, theta)
+
+        monkeypatch.setattr(TrigSymbol, "derivative", counted)
+        grid_localize(sym, 8, hermitian_eigen(build(sym, 8).dense()))
+        det_equation_roots(sym, 8, (0.05, 3.95), n_samples=240)
+        assert grids[0] == 1
+        other = TrigSymbol.from_cosine([2.1, -2.0, -0.2])
+        assert monotone_branches(other) != monotone_branches(sym)
+        assert grids[0] == 3
+
     def test_single_branch(self):
         b = monotone_branches(TrigSymbol.from_cosine([2.0, -2.0]))
         assert len(b) == 1

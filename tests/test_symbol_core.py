@@ -18,7 +18,9 @@ from toeplitz_spectra.symbol_core import (
     wiener_hopf_factor,
 )
 
-from helpers import symbol_from_inside_roots
+from helpers import exp_sum_symbol, symbol_from_inside_roots
+
+EPS = np.finfo(float).eps
 
 
 class TestFourierCoeffs:
@@ -79,6 +81,29 @@ class TestTrigSymbol:
     def test_degree_trim(self):
         sym = TrigSymbol.from_cosine([1.0, 0.5, 0.0])
         assert sym.degree == 1
+
+    @pytest.mark.parametrize("d", range(41))
+    def test_horner_matches_exp_sum(self, d):
+        rng = np.random.default_rng(100 + d)
+        half = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+        c = np.concatenate([np.conj(half[:0:-1]), [half[0].real], half[1:]])
+        sym = TrigSymbol(c)
+        j = np.abs(np.arange(-d, d + 1))
+        tol_f = 4 * EPS * (d + 1) * np.abs(c).sum()
+        tol_df = 4 * EPS * (d + 1) * np.abs(j * c).sum()
+        theta = np.concatenate([rng.uniform(-7.0, 7.0, 200),
+                                [0.0, np.pi / 2, np.pi, 2 * np.pi]])
+        f, df = exp_sum_symbol(sym, theta)
+        assert np.max(np.abs(sym(theta) - f)) <= tol_f
+        assert np.max(np.abs(sym.derivative(theta) - df)) <= tol_df
+        # a scalar angle gives a scalar, an (m, n) array an (m, n) array
+        f1, df1 = exp_sum_symbol(sym, 1.3)
+        assert np.ndim(sym(1.3)) == 0 and abs(sym(1.3) - f1) <= tol_f
+        assert np.ndim(sym.derivative(1.3)) == 0
+        assert abs(sym.derivative(1.3) - df1) <= tol_df
+        grid = theta[:200].reshape(20, 10)
+        assert sym(grid).shape == sym.derivative(grid).shape == (20, 10)
+        assert np.array_equal(sym(grid).ravel(), sym(theta[:200]))
 
 
 class TestLaurentRoots:
