@@ -3,13 +3,14 @@
 A factorization is read as f = s+ s- G1(chi) G2(chibar), with
 G1(z) = prod (1 - w z)^s of degree n1 and G2(z) = prod (1 - q z)^t of degree
 n2, every |w|, |q| < 1, and scales s+ (which carries g1's phase) and s-.
-All of the formulas below use two power series only,
+The formulas below use two power series,
 
     d = coefficients of 1/G1,    b = coefficients of 1/G2,
 
-each computed once by a stable forward recursion, and the lower triangular
-Toeplitz matrices L(G1) (n1 x n1) and L(G2) (n2 x n2) of the leading
-coefficients.  Repeated or close roots are just repeated factors.
+and the lower triangular Toeplitz matrices L(G1) (n1 x n1) and L(G2)
+(n2 x n2) of the leading coefficients.  Only b is stored (to index N + n1);
+d enters through forward recursions and the product matrix.  Repeated or
+close roots are just repeated factors.
 
 State basis.  The stable subspace E = {p(chi)/G1(chi) : deg p < n1} is the
 range of the composed Hankel maps of Phi_N = chi^{N+1} s+ G1 / (s- G2).  An
@@ -17,12 +18,17 @@ element is stored as its first n1 series coefficients x (its "state"); its
 numerator is p = L(G1) x, and its later coefficients follow from the
 companion matrix A of G1.
 
-Product matrix.  On states, H_Phitilde H_Phi acts as the n1 x n1 matrix
+Product matrix.  Every factorization here has n1 = n2 = n.  On states,
+H_Phitilde H_Phi acts as the n x n matrix
 
-    M = Hd L(G2) Hb L(G1),   Hd[i, e-1] = d[N+1+e+i],  Hb[e-1, j] = b[N+1+j+e],
+    M = V(G1, G2) V(G2, G1),   V(ga, gb) = Hd(ga) L(gb),
+    Hd(ga)[i, e] = (1/ga)[N+2+i+e],
 
-for i, j < n1 and 1 <= e <= n2; the scales cancel.  The determinant scan of
-``spectra`` uses the same M with equal factors (plus = minus).
+for i, e < n; the scales cancel.  ``hankel_half`` builds V for a stack of
+factor pairs, with the far terms of 1/ga from a power of its companion
+matrix (log N squarings), so coinciding roots need no care.  The inversion
+context takes both halves from one call, the determinant scan of
+``spectra`` M = V V with equal factors.
 
 Stein Gram.  The squared norm of the element with state x is x^H G x, with
 G = A^H G A + e0 e0^T (``solve_discrete_lyapunov``).  ``norm2`` is the
@@ -30,9 +36,8 @@ operator norm of M in that inner product, ||R M R^{-1}||_2 for the Cholesky
 factor G = R^H R; it does not depend on the basis.  The inversion formula
 is certified when norm2 < 1 (the Neumann series of (I - M)^{-1} converges).
 
-Entries.  With r_e = sum_{c<e} G2_c b[l+e-c] (e = 1..n2), the state
-sigma_l = (d[N+1-l+i] - sum_e r_e d[N+1+e+i]) / s+ and p = L(G1) (I - M)^{-1}
-sigma_l,
+Entries.  With the state sigma_l = (d[N+1-l+i] - (V(G1, G2) r_l)_i) / s+,
+r_l = (b[l+1], ..., b[l+n]), and p = L(G1) (I - M)^{-1} sigma_l,
 
     (T_N^{-1})[k, l] = sum_{u <= min(k, l)} b[l-u] d[k-u] / (s+ s-)
                        - (1/s-) sum_j p_j sum_{i <= k} b[N+1+j-i] d[k-i].
@@ -116,9 +121,27 @@ class HankelProductMatrix:
         return self.entries.shape[0]
 
 
-def _lower_toeplitz(c: np.ndarray, n: int) -> np.ndarray:
-    """n x n lower triangular Toeplitz matrix of the coefficients c[0..n-1]."""
-    return scipy.linalg.toeplitz(c[:n], np.zeros(n))
+def hankel_half(ga: np.ndarray, gb: np.ndarray, N: int) -> np.ndarray:
+    """V = Hd(ga) L(gb) for stacks of factor polynomials, one pair per row.
+
+    ``ga`` and ``gb`` are (S, n+1), ascending, with g[:, 0] = 1; V is
+    (S, n, n), with Hd(ga)[i, e] = d[N+2+i+e] for the series d of 1/ga and
+    L(gb)[e, j] = gb[e-j].
+    """
+    S, r = ga.shape[0], ga.shape[1] - 1
+    if r == 0:
+        return np.zeros((S, 0, 0), dtype=complex)
+    # C maps (d[n], ..., d[n+r-1]) to (d[n+1], ..., d[n+r]); at n = -r+1
+    # that window is e_last
+    C = np.zeros((S, r, r), dtype=complex)
+    C[:, np.arange(r - 1), np.arange(1, r)] = 1.0
+    C[:, -1] = -ga[:, :0:-1]
+    far = np.empty((S, 2 * r - 1), dtype=complex)    # d[N+2..N+2r]
+    far[:, :r] = np.linalg.matrix_power(C, N + r + 1)[..., -1]
+    for k in range(r, 2 * r - 1):              # the last row of C steps d
+        far[:, k] = np.einsum("sj,sj->s", C[:, -1], far[:, k - r:k])
+    i = np.arange(r)                           # L(gb)[e, j] = gb[e - j]
+    return far[:, i[:, None] + i] @ np.tril(gb[:, abs(i[:, None] - i)])
 
 
 class _InversionContext:
@@ -128,18 +151,12 @@ class _InversionContext:
         self.N = N
         self.scale_plus, self.scale_minus = pair.scale_plus, pair.scale_minus
         self.g1, self.g2 = factor_poly(pair.plus), factor_poly(pair.minus)
-        self.n1 = n1 = self.g1.size - 1
-        self.n2 = n2 = self.g2.size - 1
-        d = inverse_series(pair.plus, N + n1 + n2 + 3)
-        self.b = inverse_series(pair.minus, N + n1 + n2 + 3)
-        i, e = np.arange(n1), np.arange(1, n2 + 1)
-        self.Hd = d[N + 1 + i[:, None] + e[None, :]]
-        self.L1 = _lower_toeplitz(self.g1, n1)
-        self.L2 = _lower_toeplitz(self.g2, n2)
-        M = self.Hd @ self.L2 @ self.b[N + 1 + e[:, None] + i[None, :]] \
-            @ self.L1
-        M.setflags(write=False)
-        self.M = M
+        self.n1, self.n2 = self.g1.size - 1, self.g2.size - 1
+        self.b = inverse_series(pair.minus, N + self.n1 + 1)
+        self.V, V21 = hankel_half(np.stack((self.g1, self.g2)),
+                                  np.stack((self.g2, self.g1)), N)
+        self.M = self.V @ V21
+        self.M.setflags(write=False)
         # hat(f)(-n2..n1) of the factor product, for the refinement residual
         self.fhat = pair.scale_plus * pair.scale_minus * np.convolve(
             self.g1, self.g2[::-1])
@@ -181,8 +198,9 @@ class _InversionContext:
             padded = np.zeros(N + 1 + n1, dtype=complex)
             padded[:n] = Q
             head = series_quotient(self.g1, padded)[N + 1:]
-            sigma = (head - self.Hd @ (self.L2 @ c[n:])) / self.scale_plus
-            p = self.L1 @ scipy.linalg.lu_solve(self.lu, sigma)
+            sigma = (head - self.V @ c[n:]) / self.scale_plus
+            y = scipy.linalg.lu_solve(self.lu, sigma)
+            p = np.convolve(self.g1, y)[:n1]         # L(G1) y
             # x_i -= sum_j p_j b[N+1+j-i]
             x -= sliding_window_view(self.b[1: N + 1 + n1], n1)[::-1] @ p
         return series_quotient(self.g1, x) / self.scale_minus

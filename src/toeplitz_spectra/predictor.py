@@ -88,10 +88,11 @@ def property1_check(h: TrigSymbol, M: int) -> float:
     if np.min(pv) <= 1e-14 * np.max(pv):
         raise PredictorRootOnCircle("predictor modulus vanishes on the grid")
     fhat = np.fft.fft(1.0 / pv) / grid_size
-    worst = 0.0
-    for s in range(-M, M + 1):
-        worst = max(worst, abs(h.coeff(s) - fhat[s % grid_size]))
-    return float(worst)
+    s = np.arange(-M, M + 1)
+    upto = max(M, h.degree)
+    r = h.padded(upto)[upto - M: upto + M + 1] - fhat[s % grid_size]
+    # hypot rounds as a scalar abs does (np.abs of complex arrays may not)
+    return float(np.max(np.hypot(r.real, r.imag)))
 
 
 @dataclass(frozen=True)
@@ -121,15 +122,15 @@ def lemma1_rate(h: TrigSymbol, g_inv_coeffs: Sequence[complex],
     None when an error vanishes to machine zero or only one order is given.
     """
     b = np.asarray(g_inv_coeffs, dtype=complex)
+    limit = np.conj(b[0]) * b / abs(b[0])
     errs = []
     for N in N_list:
         P = levinson(h, int(N))
-        limit = np.conj(b[0]) * b / abs(b[0])
-        worst = 0.0
-        for k in range(0, int(N) // 2 + 1):
-            target = limit[k] if k < b.size else 0.0
-            worst = max(worst, abs(P.beta[k] - target))
-        errs.append(float(worst))
+        K = int(N) // 2 + 1
+        target = np.zeros(K, dtype=complex)
+        target[:min(K, b.size)] = limit[:K]
+        r = P.beta[:K] - target
+        errs.append(float(np.max(np.hypot(r.real, r.imag))))
         log.debug("lemma1_rate N=%d err=%.3e", N, errs[-1])
     errs_arr = np.array(errs)
     if np.any(errs_arr <= 0) or len(N_list) < 2:

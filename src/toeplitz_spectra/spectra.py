@@ -3,14 +3,20 @@ localization of eigenvalues of even symbols, and the characteristic-
 determinant pipeline that reproduces the spectrum from the circle partners
 of the symbol antecedents.
 
+The monotone branches of a symbol on [0, pi] carry all of its extrema:
+localization seeds antecedents from them, the determinant scan guards its
+critical values, and the unique minimizer of an even symbol is one of
+their ends, 0 or pi.  They are cached for the last symbol asked for.
+
 For an even cosine polynomial f and real lambda, writing x = cos(theta),
 f - lambda factors over its antecedent roots x_j through the partners
 omega_j (|omega_j| <= 1) with omega + 1/omega = 2 x_j.  The composed Hankel
 matrix M(lambda) is the state-space product matrix of ``hankel_inversion``
-with both factors equal to g = prod (1 - omega_j z), so repeated partners
-are just repeated factors.  lambda belongs to the spectrum of the order-N
-section exactly when det(I - M(lambda)) = 0, which is located here by
-phase-normalized sign scans.
+with both factors equal to g = prod (1 - omega_j z), M = V V from that
+module's ``hankel_half``, so repeated partners are just repeated factors.
+lambda belongs to the spectrum of the order-N section exactly when
+det(I - M(lambda)) = 0, which is located here by phase-normalized sign
+scans.
 
 Every search is batched over its parameters: the antecedent roots x_j of
 all sampled lambda are the eigenvalues of one stack of companion matrices,
@@ -44,6 +50,7 @@ from .errors import (
     NonUniqueMinimum,
     NotHermitian,
 )
+from .hankel_inversion import hankel_half
 from .symbol_core import TrigSymbol
 from .toeplitz_core import DenseMatrix, build
 
@@ -56,7 +63,6 @@ ROOT_MARGIN = 1e-5
 BRANCH_GRID = 8193
 LOCALIZE_TABLE = 1025         # samples of f per branch that seed antecedents
 ROOT_STEPS = 100
-MINIMIZER_GRID = 8192
 WEYL_TEST_FUNCTIONS = (lambda x: x, lambda x: x ** 2, lambda x: x ** 3,
                        lambda x: x ** 4, np.abs, np.exp)
 
@@ -184,20 +190,15 @@ class GridLocation:
 
     k: int
     theta_shift: float
-    theta_star: float = 0.0
-    branch: int = 0
-    eigenvalue: float = 0.0
-
-
-def monotone_branches(sym: TrigSymbol) -> tuple:
-    """Maximal monotone pieces (a, b, f(a), f(b)) of the symbol on [0, pi],
-    kept for the last symbol asked for (localization, then the det scan)."""
-    return _branches(sym.coeffs.tobytes())
+    theta_star: float
+    branch: int
+    eigenvalue: float
 
 
 @lru_cache(maxsize=1)
-def _branches(coeffs: bytes) -> tuple:
-    sym = TrigSymbol(np.frombuffer(coeffs, dtype=complex))
+def monotone_branches(sym: TrigSymbol) -> tuple:
+    """Maximal monotone pieces (a, b, f(a), f(b)) of the symbol on [0, pi],
+    kept for the last symbol asked for (localization, then the det scan)."""
     theta = np.linspace(0.0, np.pi, BRANCH_GRID)
     df = sym.derivative(theta)
     flat = (df[:-1] == 0.0) & (np.arange(BRANCH_GRID - 1) > 0)
@@ -346,28 +347,15 @@ def _antecedent_partners(px: np.ndarray, lams) -> np.ndarray:
 def characteristic_matrix(omegas: np.ndarray, N: int) -> np.ndarray:
     """M of ``hankel_inversion`` with G1 = G2 = g = prod_j (1 - omega_j z).
 
-    ``omegas`` is (S, r) and M (S, r, r).  That module's docstring gives
-    M = V V, V = Hd L(g), Hd[i, e] = d[N+2+i+e] with d the series of 1/g.
-    The far d come from a companion power (log N squarings), so coinciding
-    partners need no care.
+    ``omegas`` is (S, r) and M (S, r, r) = V V, with V = ``hankel_half``
+    (g, g, N); coinciding partners are repeated factors of g.
     """
     om = np.asarray(omegas, dtype=complex)
-    S, r = om.shape
-    g = np.zeros((S, 2 * r), dtype=complex)   # r - 1 zeros past g: g[-k] = 0
+    g = np.zeros((om.shape[0], om.shape[1] + 1), dtype=complex)
     g[:, 0] = 1.0
     for w in om.T:
         g[:, 1:] -= w[:, None] * g[:, :-1]
-    # C maps (d[n], ..., d[n+r-1]) to (d[n+1], ..., d[n+r]); at n = -r+1
-    # that window is e_last
-    C = np.zeros((S, r, r), dtype=complex)
-    C[:, np.arange(r - 1), np.arange(1, r)] = 1.0
-    C[:, -1] = -g[:, r:0:-1]
-    far = np.empty((S, 2 * r - 1), dtype=complex)    # d[N+2..N+2r]
-    far[:, :r] = np.linalg.matrix_power(C, N + r + 1)[..., -1]
-    for k in range(r, 2 * r - 1):              # the last row of C steps d
-        far[:, k] = np.einsum("sj,sj->s", C[:, -1], far[:, k - r:k])
-    i = np.arange(r)                           # L(g)[e, j] = g[e - j]
-    V = far[:, i[:, None] + i] @ g[:, i[:, None] - i]
+    V = hankel_half(g, g, N)
     return V @ V
 
 
@@ -500,36 +488,25 @@ class MinEigenReport:
 
 
 def _unique_minimizer(sym: TrigSymbol) -> float:
-    theta = np.linspace(0.0, 2.0 * np.pi, MINIMIZER_GRID, endpoint=False)
-    vals = sym(theta)
-    fmin = float(vals.min())
-    span = max(float(vals.max()) - fmin, 1e-300)
-    near = theta[vals <= fmin + 1e-10 * span]
-    # collapse contiguous grid runs (and the wrap-around) into candidates
-    groups = [[float(near[0])]] if near.size else []
-    for t in near[1:]:
-        if t - groups[-1][-1] <= 2.5 * (2 * np.pi / MINIMIZER_GRID):
-            groups[-1].append(float(t))
-        else:
-            groups.append([float(t)])
-    if len(groups) >= 2 and (groups[0][0] + 2 * np.pi - groups[-1][-1]
-                             <= 2.5 * (2 * np.pi / MINIMIZER_GRID)):
-        groups[0] = groups.pop() + groups[0]
-    if len(groups) != 1:
+    """The unique minimizer theta0 of an even symbol: 0 or pi (0 if constant).
+
+    An interior minimizer comes with its mirror 2 pi - theta0, so it is
+    never unique.  Raises NonUniqueMinimum when the least branch end value
+    is attained, within 1e-10 of the range, at an interior cut or at both
+    0 and pi, and ValueError for a symbol that is not even.
+    """
+    if not sym.parity:
+        raise ValueError("the minimizer needs an even symbol")
+    if sym.degree == 0:
+        return 0.0
+    branches = monotone_branches(sym)
+    ends = [branches[0][0], *(b for _, b, _, _ in branches)]
+    vals = np.array([branches[0][2], *(fb for *_, fb in branches)])
+    low = np.flatnonzero(vals <= vals.min() + 1e-10 * np.ptp(vals))
+    if low.size != 1 or 0 < low[0] < len(branches):
         raise NonUniqueMinimum(
-            f"{len(groups)} separated minimizer groups detected")
-    center = groups[0][len(groups[0]) // 2]
-    # parabolic refinement of the minimizer
-    h = 2 * np.pi / MINIMIZER_GRID
-    for _ in range(60):
-        f0, fp, fm = sym(center), sym(center + h), sym(center - h)
-        denom = fp - 2 * f0 + fm
-        if denom <= 0:
-            break
-        step = 0.5 * h * (fm - fp) / denom
-        center += float(np.clip(step, -h, h))
-        h *= 0.5
-    return center % (2.0 * np.pi)
+            f"minimum attained at theta = {[ends[i] for i in low]}")
+    return ends[low[0]]
 
 
 def min_eigen_report(sym: TrigSymbol, N: int) -> MinEigenReport:

@@ -44,7 +44,7 @@ CEPSTRAL_GRID = 2048
 # symbols
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrigSymbol:
     """Real symbol theta -> sum_{|j| <= d} coeffs[j] e^{i j theta}.
 
@@ -52,7 +52,8 @@ class TrigSymbol:
     ``coeffs[d + j]`` is the j-th Fourier coefficient c_j.  Construction
     enforces Hermitian symmetry (real symbol): f = c_0 + 2 Re sum_{j>=1} c_j
     z^j at z = e^{i theta}, evaluated by Horner in z, as is f'.  ``parity``
-    marks even symbols, whose coefficients are real and symmetric.
+    marks even symbols, whose coefficients are real and symmetric.  Two
+    symbols are equal, and hash alike, when their coefficient bytes are.
     """
 
     coeffs: np.ndarray
@@ -84,19 +85,23 @@ class TrigSymbol:
         object.__setattr__(self, "coeffs", herm)
         object.__setattr__(self, "parity", even)
 
+    def __eq__(self, other):
+        if not isinstance(other, TrigSymbol):
+            return NotImplemented
+        return self.coeffs.tobytes() == other.coeffs.tobytes()
+
+    def __hash__(self):
+        return hash(self.coeffs.tobytes())
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_cosine(cls, cosine: Sequence[float]) -> "TrigSymbol":
         """Even symbol sum_j cosine[j] * cos(j theta)."""
         cosine = np.asarray(cosine, dtype=float)
-        d = cosine.size - 1
-        c = np.zeros(2 * d + 1, dtype=complex)
-        c[d] = cosine[0]
-        for j in range(1, d + 1):
-            c[d + j] = cosine[j] / 2.0
-            c[d - j] = cosine[j] / 2.0
-        return cls(c)
+        half = cosine[1:] / 2.0
+        return cls(np.concatenate([half[::-1], cosine[:1], half]
+                                  ).astype(complex))
 
     @classmethod
     def constant(cls, value: float) -> "TrigSymbol":
@@ -182,11 +187,8 @@ def fourier_coeffs(f: Callable[[np.ndarray], np.ndarray], d: int,
     theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
     vals = np.asarray(f(theta), dtype=complex)
     spec = np.fft.fft(vals) / grid_size
-    out = np.empty(2 * d + 1, dtype=complex)
-    for j in range(-d, d + 1):
-        out[d + j] = spec[j % grid_size]
-    out = 0.5 * (out + np.conj(out[::-1]))
-    return out
+    out = spec[np.arange(-d, d + 1) % grid_size]
+    return 0.5 * (out + np.conj(out[::-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ linear algebra), so the two sides never share a bug.
 """
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from toeplitz_spectra.symbol_core import TrigSymbol
+from toeplitz_spectra.predictor import levinson
+from toeplitz_spectra.symbol_core import TrigSymbol, factor_poly, inverse_series
 
 
 def poly_from_factors(ws):
@@ -122,6 +124,27 @@ def closed_form_characteristic_matrix(omegas, N):
     return V @ V
 
 
+def recursion_hankel_halves(plus, minus, N):
+    """Hd L(G2) and Hb L(G1) from the full 1/G1 and 1/G2 series.
+
+    ``plus`` and ``minus`` are (pole, multiplicity) tuples of G1 and G2.
+    Both series come from the forward recursion (``inverse_series``) up to
+    index N + n1 + n2 + 2, Hd[i, e-1] = d[N+1+e+i] and Hb[e-1, j] =
+    b[N+1+j+e] are read off by index, and L(G) is the dense lower
+    triangular Toeplitz matrix; M is the product of the two halves.  The
+    route that ``hankel_inversion.hankel_half`` replaced.
+    """
+    g1, g2 = factor_poly(plus), factor_poly(minus)
+    n1, n2 = g1.size - 1, g2.size - 1
+    d = inverse_series(plus, N + n1 + n2 + 3)
+    b = inverse_series(minus, N + n1 + n2 + 3)
+    i, e = np.arange(n1), np.arange(1, n2 + 1)
+    L1 = scipy.linalg.toeplitz(g1[:n1], np.zeros(n1))
+    L2 = scipy.linalg.toeplitz(g2[:n2], np.zeros(n2))
+    return (d[N + 1 + i[:, None] + e[None, :]] @ L2,
+            b[N + 1 + e[:, None] + i[None, :]] @ L1)
+
+
 def largest_eigenvalues(P, r):
     """The r eigenvalues of P of largest modulus, sorted by np.sort_complex."""
     ev = np.linalg.eigvals(P)
@@ -216,3 +239,69 @@ def slot_cost(theta, N, branch, k):
     grid_step = np.pi / (N + 2)
     t = theta[np.arange(theta.shape[0]), branch]
     return float(np.sum(((t - k * grid_step) / grid_step) ** 2))
+
+
+def grid_minimizer(sym, n_grid=8192):
+    """The minimizer of a symbol from an n_grid-point grid on [0, 2 pi).
+
+    Grid points within 1e-10 of the range above the least sample form
+    groups, split where two are more than 2.5 steps apart and joined across
+    2 pi.  One group is a unique minimizer, refined by up to 60 halving
+    parabolic steps from its middle point.  Returns None for more than one
+    group.  The route that ``spectra._unique_minimizer`` replaced.
+    """
+    h = 2 * np.pi / n_grid
+    theta = np.linspace(0.0, 2 * np.pi, n_grid, endpoint=False)
+    vals = sym(theta)
+    near = theta[vals <= vals.min() + 1e-10 * max(np.ptp(vals), 1e-300)]
+    groups = [[near[0]]]
+    for t in near[1:]:
+        if t - groups[-1][-1] <= 2.5 * h:
+            groups[-1].append(t)
+        else:
+            groups.append([t])
+    if len(groups) >= 2 and groups[0][0] + 2 * np.pi - groups[-1][-1] \
+            <= 2.5 * h:
+        groups[0] = groups.pop() + groups[0]
+    if len(groups) != 1:
+        return None
+    center = float(groups[0][len(groups[0]) // 2])
+    for _ in range(60):
+        f0, fp, fm = sym(center), sym(center + h), sym(center - h)
+        denom = fp - 2 * f0 + fm
+        if denom <= 0:
+            break
+        center += float(np.clip(0.5 * h * (fm - fp) / denom, -h, h))
+        h *= 0.5
+    return center % (2 * np.pi)
+
+
+def moment_residual_loop(h, M):
+    """``predictor.property1_check`` by a scalar loop over s = -M..M.
+
+    The route the vectorised check replaced; the same arithmetic, so the
+    two agree bit for bit.
+    """
+    P = levinson(h, M)
+    grid_size = 1024
+    while grid_size < 16 * max(M, 1):
+        grid_size *= 2
+    theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    fhat = np.fft.fft(1.0 / np.abs(P.on_circle(theta)) ** 2) / grid_size
+    return float(max(abs(h.coeff(s) - fhat[s % grid_size])
+                     for s in range(-M, M + 1)))
+
+
+def lemma1_errors_loop(h, b, N_list):
+    """``predictor.lemma1_rate``'s errors by a scalar loop over k <= N/2.
+
+    The route the vectorised errors replaced; they agree bit for bit.
+    """
+    b = np.asarray(b, dtype=complex)
+    limit = np.conj(b[0]) * b / abs(b[0])
+    errs = []
+    for N in N_list:
+        beta = levinson(h, int(N)).beta
+        errs.append(float(max(abs(beta[k] - (limit[k] if k < b.size else 0.0))
+                              for k in range(int(N) // 2 + 1))))
+    return errs

@@ -11,7 +11,8 @@ from toeplitz_spectra.predictor import (
 from toeplitz_spectra.symbol_core import TrigSymbol, fourier_coeffs, wiener_hopf_factor
 from toeplitz_spectra.toeplitz_core import build, dense_invert
 
-from helpers import symbol_from_inside_roots
+from helpers import (lemma1_errors_loop, moment_residual_loop,
+                     symbol_from_inside_roots)
 
 
 def ar1_symbol(d):
@@ -117,6 +118,19 @@ class TestLemma1Rate:
         rep = lemma1_rate(sym, b, [32, 64, 128, 256])
         assert rep.non_increasing()
         assert rep.slope is not None and rep.slope <= -2.4
+
+
+def test_checks_match_scalar_loops():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        roots = rng.uniform(0.1, 0.8, 3) * np.exp(2j * np.pi * rng.random(3))
+        sym = symbol_from_inside_roots(roots, rng.uniform(0.5, 2.0))
+        for M in (0, 1, 2, 3, 9, 40):
+            assert property1_check(sym, M) == moment_residual_loop(sym, M)
+        b = rng.standard_normal(int(rng.integers(1, 30))) + 0.5j
+        Ns = [3, 8, 25, 60]
+        assert lemma1_rate(sym, b, Ns).errors \
+            == tuple(lemma1_errors_loop(sym, b, Ns))
 
 
 class TestGInverseCoeffs:

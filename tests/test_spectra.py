@@ -15,7 +15,6 @@ from toeplitz_spectra.errors import (
     NonUniqueMinimum,
     NotHermitian,
 )
-from toeplitz_spectra.hankel_inversion import _FactorPair, _InversionContext
 from toeplitz_spectra.spectra import (
     characteristic_matrix,
     det_equation_roots,
@@ -39,7 +38,9 @@ from helpers import (
     closed_form_characteristic_matrix,
     dense_eigvalsh,
     dense_slot_assignment,
+    grid_minimizer,
     largest_eigenvalues,
+    recursion_hankel_halves,
     slot_cost,
     symbol_from_inside_roots,
 )
@@ -226,7 +227,7 @@ class TestRoot:
         return calls
 
     def test_branches_and_localization_match_oracle(self, monkeypatch):
-        spectra._branches.cache_clear()
+        monotone_branches.cache_clear()
         calls = self.record(monkeypatch)
         N = 256
         eig = hermitian_eigen(build(CRITERION_02, N).dense())
@@ -524,8 +525,8 @@ class TestGridLocalize:
 
 
 class TestCharacteristicMatrix:
-    def test_matches_rational_machinery(self):
-        # entrywise against the state-space inversion route itself
+    def test_matches_recursion_oracle(self):
+        # entrywise against Hd L(g) Hb L(g) read off the forward recursion
         rng = np.random.default_rng(5)
         for r in range(1, 5):
             for N in (0, 1, 7, 64, 500):
@@ -536,8 +537,8 @@ class TestCharacteristicMatrix:
                 assert M.shape == (3, r, r)
                 for s in range(3):
                     factors = tuple((w, 1) for w in om[s])
-                    want = _InversionContext(
-                        _FactorPair(factors, factors), N).M
+                    want = np.matmul(*recursion_hankel_halves(
+                        factors, factors, N))
                     err = np.max(np.abs(M[s] - want))
                     assert err <= 1e-11 * np.max(np.abs(want)), (r, N, s)
 
@@ -609,7 +610,7 @@ class TestCharacteristicMatrix:
         a, N = np.exp(-0.7j), 8
         double = ((a, 2),)
         want = np.linalg.det(
-            np.eye(2) - _InversionContext(_FactorPair(double, double), N).M)
+            np.eye(2) - np.matmul(*recursion_hankel_halves(double, double, N)))
         assert abs(want - (-187.6956 - 59.7028j)) < 1e-3
         for gap in (1e-6, 1e-9, 0.0):
             om = np.array([[a, a * np.exp(1j * gap)]])
@@ -722,12 +723,50 @@ class TestMinEigenReport:
             min_eigen_report(TrigSymbol.from_cosine([2.0, 0.0, -2.0]), 12)
 
 
+class TestUniqueMinimizer:
+    def test_branch_ends_exact(self):
+        assert _unique_minimizer(TrigSymbol.from_cosine([2.0, -2.0])) == 0.0
+        assert _unique_minimizer(TrigSymbol.from_cosine([2.0, 2.0])) == np.pi
+        assert _unique_minimizer(CRITERION_02) == np.pi
+
+    @pytest.mark.parametrize("cosine", [
+        [2.0, 0.0, -2.0],        # minima at 0 and pi
+        [0.75, -1.0, 0.5],       # (cos - 1/2)^2: interior, with its mirror
+        [0.25, 0.0, 0.0, 0.25],  # (1 + cos 3 theta) / 4: pi/3 ties with pi
+    ])
+    def test_non_unique(self, cosine):
+        with pytest.raises(NonUniqueMinimum):
+            _unique_minimizer(TrigSymbol.from_cosine(cosine))
+
+    def test_constant_and_non_even(self):
+        assert _unique_minimizer(TrigSymbol.constant(3.0)) == 0.0
+        with pytest.raises(ValueError):
+            _unique_minimizer(TrigSymbol(np.array([0.5j, 2.0, -0.5j])))
+
+    def test_matches_grid_minimizer(self):
+        # accepted and rejected as by the 8192-point grid with parabolic
+        # refinement, with theta0 at its refined point
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            d = int(rng.integers(1, 5))
+            sym = TrigSymbol.from_cosine(np.concatenate(
+                [[rng.uniform(2.5, 5.0)], rng.uniform(-1.0, 1.0, d)]))
+            want = grid_minimizer(sym)
+            if want is None:
+                with pytest.raises(NonUniqueMinimum):
+                    _unique_minimizer(sym)
+            else:
+                got = _unique_minimizer(sym)
+                assert min(abs(got - want), 2 * np.pi - abs(got - want)) \
+                    < 1e-11
+
+
 class TestMonotoneBranches:
     def test_once_per_symbol(self, monkeypatch):
         # localization and then the det scan of one symbol sample f' on the
         # branch grid once; the next symbol gets its own branches
         sym = TrigSymbol.from_cosine([2.1, -2.0, -0.1])
-        spectra._branches.cache_clear()
+        monotone_branches.cache_clear()
         grids = [0]
         real = TrigSymbol.derivative
 
