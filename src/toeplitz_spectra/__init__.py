@@ -16,8 +16,6 @@ from .toeplitz_core import (
     build,
     dense_det,
     dense_invert,
-    dump_csv,
-    matvec,
 )
 
 __all__ = [
@@ -34,6 +32,4 @@ __all__ = [
     "build",
     "dense_det",
     "dense_invert",
-    "dump_csv",
-    "matvec",
 ]

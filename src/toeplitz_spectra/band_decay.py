@@ -235,20 +235,21 @@ def approx_regular(f: RegularSymbol, eps: float) -> np.ndarray:
     """Analytic polynomial P with sup | |P|^2 - f | <= eps on the circle.
 
     Cepstral construction: P truncates the exponential of the analytic half
-    of log f, with the truncation degree raised until the bound holds on a
-    2048-point grid.  The returned P has no roots on or inside the unit
-    circle (checked); ApproxFailure carries the best error if DEGREE_CAP is
-    reached.
+    of log f, one series computed once, with the truncation degree raised
+    until the bound holds on a 2048-point grid.  The returned P has no roots
+    on or inside the unit circle (checked); ApproxFailure carries the best
+    error if DEGREE_CAP is reached.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     grid = 2048
     theta = 2.0 * np.pi * np.arange(grid) / grid
     fv = np.asarray(f.sample_fn(theta), dtype=float)
+    series = cepstral_factor(f.sample_fn, DEGREE_CAP)
     degree = 8
     best = np.inf
     while degree <= DEGREE_CAP:
-        p = cepstral_factor(f.sample_fn, degree)
+        p = series[: degree + 1]
         pv = np.polynomial.polynomial.polyval(np.exp(1j * theta), p)
         err = float(np.max(np.abs(np.abs(pv) ** 2 - fv)))
         best = min(best, err)

@@ -1,34 +1,34 @@
 """Structured inversion of Toeplitz sections through the Hankel correction.
 
-A factorization is read as f = s+ s- G1(chi) G2(chibar), with
-G1(z) = prod (1 - w z)^s of degree n1 and G2(z) = prod (1 - q z)^t of degree
-n2, every |w|, |q| < 1, and scales s+ (which carries g1's phase) and s-.
-The formulas below use two power series,
+A factorization of a real symbol is read as f = s G1(chi) G2(chibar) with
+G2 = g = prod (1 - a z)^m over the inside roots (``SpectralFactorization.g``,
+every |a| < 1), G1 = conj(g) coefficient by coefficient, one degree n, and
+one scale s = C * phase.  The formulas below use two power series,
 
-    d = coefficients of 1/G1,    b = coefficients of 1/G2,
+    d = coefficients of 1/G1 = conj(b),    b = coefficients of 1/g,
 
-and the lower triangular Toeplitz matrices L(G1) (n1 x n1) and L(G2)
-(n2 x n2) of the leading coefficients.  Only b is stored (to index N + n1);
-d enters through forward recursions and the product matrix.  Repeated or
-close roots are just repeated factors.
+and the lower triangular Toeplitz matrices L(G1) and L(G2) (n x n) of the
+leading coefficients.  Only b is stored (to index N + n); d enters through
+forward recursions and the product matrix.  Repeated or close roots are
+just repeated factors.
 
-State basis.  The stable subspace E = {p(chi)/G1(chi) : deg p < n1} is the
-range of the composed Hankel maps of Phi_N = chi^{N+1} s+ G1 / (s- G2).  An
-element is stored as its first n1 series coefficients x (its "state"); its
+State basis.  The stable subspace E = {p(chi)/G1(chi) : deg p < n} is the
+range of the composed Hankel maps of Phi_N = chi^{N+1} s G1 / G2.  An
+element is stored as its first n series coefficients x (its "state"); its
 numerator is p = L(G1) x, and its later coefficients follow from the
 companion matrix A of G1.
 
-Product matrix.  Every factorization here has n1 = n2 = n.  On states,
-H_Phitilde H_Phi acts as the n x n matrix
+Product matrix.  On states, H_Phitilde H_Phi acts as the n x n matrix
 
-    M = V(G1, G2) V(G2, G1),   V(ga, gb) = Hd(ga) L(gb),
+    M = V(G1, G2) V(G2, G1) = V conj(V),   V(ga, gb) = Hd(ga) L(gb),
     Hd(ga)[i, e] = (1/ga)[N+2+i+e],
 
-for i, e < n; the scales cancel.  ``hankel_half`` builds V for a stack of
-factor pairs, with the far terms of 1/ga from a power of its companion
-matrix (log N squarings), so coinciding roots need no care.  The inversion
-context takes both halves from one call, the determinant scan of
-``spectra`` M = V V with equal factors.
+for i, e < n; the scale cancels, and V(G2, G1) = conj(V(G1, G2)) since
+G1 = conj(G2).  ``hankel_half`` builds V for a stack of factor pairs, with
+the far terms of 1/ga from a power of its companion matrix (log N
+squarings), so coinciding roots need no care.  The inversion context takes
+V from one call on its single pair, the determinant scan of ``spectra``
+M = V V with equal factors.
 
 Stein Gram.  The squared norm of the element with state x is x^H G x, with
 G = A^H G A + e0 e0^T (``solve_discrete_lyapunov``).  ``norm2`` is the
@@ -36,29 +36,28 @@ operator norm of M in that inner product, ||R M R^{-1}||_2 for the Cholesky
 factor G = R^H R; it does not depend on the basis.  The inversion formula
 is certified when norm2 < 1 (the Neumann series of (I - M)^{-1} converges).
 
-Entries.  With the state sigma_l = (d[N+1-l+i] - (V(G1, G2) r_l)_i) / s+,
+Entries.  With the state sigma_l = (d[N+1-l+i] - (V r_l)_i) / s,
 r_l = (b[l+1], ..., b[l+n]), and p = L(G1) (I - M)^{-1} sigma_l,
 
-    (T_N^{-1})[k, l] = sum_{u <= min(k, l)} b[l-u] d[k-u] / (s+ s-)
-                       - (1/s-) sum_j p_j sum_{i <= k} b[N+1+j-i] d[k-i].
+    (T_N^{-1})[k, l] = sum_{u <= min(k, l)} b[l-u] d[k-u] / s
+                       - sum_j p_j sum_{i <= k} b[N+1+j-i] d[k-i].
 
 The first sum is the product of the triangular inverses of the two factor
-sections; the second has rank at most n1.  The formula is evaluated a whole
+sections; the second has rank at most n.  The formula is evaluated a whole
 column at a time, by linearity in l, with both triangular inverses applied
-as banded recursions (``series_quotient``), at O(N (n1 + n2)) per column;
-an entry is read from its column.  Where M is not small (norm2 near 1,
-clustered roots) the state basis is ill-conditioned and the formula alone
-can lose digits far beyond the section's own condition number.  A column
-whose relative residual against the banded section of the factor product
-exceeds RESIDUAL_TOL is refined, at most MAX_REFINEMENT_STEPS times, until
-it does not.
+as banded recursions (``series_quotient``), at O(N n) per column; an entry
+is read from its column.  Where M is not small (norm2 near 1, clustered
+roots) the state basis is ill-conditioned and the formula alone can lose
+digits far beyond the section's own condition number.  A column whose
+relative residual against the banded section of the factor product exceeds
+RESIDUAL_TOL is refined, at most MAX_REFINEMENT_STEPS times, until it does
+not.
 
 Contexts hold the series and the small matrices of one (factorization, N)
 pair.  A point query makes several calls with the same pair, so contexts are
-cached.  The cache is keyed by the value of a
-``SpectralFactorization`` (a frozen dataclass; equal factorizations share a
-context) and by the identity of a ``_FactorPair``, and it holds only a few
-contexts, each of O(N) memory.
+cached.  The cache is keyed by the value of the ``SpectralFactorization`` (a
+frozen dataclass; equal factorizations share a context) and by N, and it
+holds only a few contexts, each of O(N) memory.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NeumannCondition, SmallSystemSingular
-from .symbol_core import (SpectralFactorization, factor_poly, inverse_series,
+from .symbol_core import (SpectralFactorization, inverse_series,
                           series_quotient)
 
 # Near norm2 = 1 the formula alone was off by 4e-4 of the max-norm, relative
@@ -85,34 +84,10 @@ MAX_REFINEMENT_STEPS = 10
 
 
 @dataclass(frozen=True, eq=False)
-class _FactorPair:
-    """A factorization as (pole, multiplicity) tuples and two scales.
-
-    Phi_N = chi^{N+1} (scale_plus * G1)/(scale_minus * G2) with
-    G1 = prod (1 - w_j chi)^{s_j} and G2 = prod (1 - q_i chibar)^{t_i}.
-    """
-
-    plus: tuple
-    minus: tuple
-    scale_plus: complex = 1.0 + 0j
-    scale_minus: complex = 1.0 + 0j
-
-
-def _pair_from_factorization(factor) -> _FactorPair:
-    if isinstance(factor, SpectralFactorization):
-        return _FactorPair(plus=tuple(factor.g1_factors),
-                           minus=tuple(factor.g2_factors),
-                           scale_plus=factor.scale * factor.phase)
-    if isinstance(factor, _FactorPair):
-        return factor
-    raise TypeError(f"unsupported factorization object {type(factor)!r}")
-
-
-@dataclass(frozen=True, eq=False)
 class HankelProductMatrix:
     """Matrix of the composed Hankel maps on the state basis of E."""
 
-    entries: np.ndarray        # n1 x n1, read-only
+    entries: np.ndarray        # n x n, read-only
     N: int
     norm2: float               # operator norm in the Gram inner product
 
@@ -147,28 +122,27 @@ def hankel_half(ga: np.ndarray, gb: np.ndarray, N: int) -> np.ndarray:
 class _InversionContext:
     """Series, product matrix, Gram norm and LU of one (factorization, N)."""
 
-    def __init__(self, pair: _FactorPair, N: int):
+    def __init__(self, factor: SpectralFactorization, N: int):
         self.N = N
-        self.scale_plus, self.scale_minus = pair.scale_plus, pair.scale_minus
-        self.g1, self.g2 = factor_poly(pair.plus), factor_poly(pair.minus)
-        self.n1, self.n2 = self.g1.size - 1, self.g2.size - 1
-        self.b = inverse_series(pair.minus, N + self.n1 + 1)
-        self.V, V21 = hankel_half(np.stack((self.g1, self.g2)),
-                                  np.stack((self.g2, self.g1)), N)
-        self.M = self.V @ V21
+        self.scale = factor.scale * factor.phase
+        self.g = factor.g                          # G2
+        self.gbar = self.g.conj()                  # G1
+        self.n = self.g.size - 1
+        self.b = inverse_series(self.g, N + self.n + 1)
+        self.V = hankel_half(self.gbar[None], self.g[None], N)[0]
+        self.M = self.V @ self.V.conj()
         self.M.setflags(write=False)
-        # hat(f)(-n2..n1) of the factor product, for the refinement residual
-        self.fhat = pair.scale_plus * pair.scale_minus * np.convolve(
-            self.g1, self.g2[::-1])
+        # hat(f)(-n..n) of the factor product, for the refinement residual
+        self.fhat = self.scale * np.convolve(self.gbar, self.g[::-1])
 
     @cached_property
     def norm2(self) -> float:
-        n1 = self.n1
-        if n1 == 0:
+        n = self.n
+        if n == 0:
             return 0.0
-        A = np.eye(n1, k=1, dtype=complex)
-        A[-1] = -self.g1[:0:-1]
-        e0 = np.zeros((n1, n1))
+        A = np.eye(n, k=1, dtype=complex)
+        A[-1] = -self.gbar[:0:-1]
+        e0 = np.zeros((n, n))
         e0[0, 0] = 1.0
         G = scipy.linalg.solve_discrete_lyapunov(A.conj().T, e0)
         R = scipy.linalg.cholesky(0.5 * (G + G.conj().T))
@@ -176,7 +150,7 @@ class _InversionContext:
 
     @cached_property
     def lu(self):
-        lu = scipy.linalg.lu_factor(np.eye(self.n1) - self.M)
+        lu = scipy.linalg.lu_factor(np.eye(self.n) - self.M)
         pivot = float(np.abs(np.diag(lu[0])).min())
         if pivot <= 1e-14:
             raise SmallSystemSingular(f"correction system pivot {pivot:.3e}")
@@ -189,27 +163,27 @@ class _InversionContext:
 
     def _apply(self, Q: np.ndarray) -> np.ndarray:
         """The correction formula for sum_l Q_l (column l), unrefined."""
-        N, n, n1, n2 = self.N, Q.size, self.n1, self.n2
-        # c[n-1+t] = sum_l Q_l b[l+t] for -n < t <= n2: 1/G2 run backwards
-        c = series_quotient(self.g2, np.concatenate([Q[::-1], np.zeros(n2)]))
+        N, m, n = self.N, Q.size, self.n
+        # c[m-1+t] = sum_l Q_l b[l+t] for -m < t <= n: 1/G2 run backwards
+        c = series_quotient(self.g, np.concatenate([Q[::-1], np.zeros(n)]))
         x = np.zeros(N + 1, dtype=complex)
-        x[:n] = c[:n][::-1] / self.scale_plus
-        if n1:
-            padded = np.zeros(N + 1 + n1, dtype=complex)
-            padded[:n] = Q
-            head = series_quotient(self.g1, padded)[N + 1:]
-            sigma = (head - self.V @ c[n:]) / self.scale_plus
+        x[:m] = c[:m][::-1] / self.scale
+        if n:
+            padded = np.zeros(N + 1 + n, dtype=complex)
+            padded[:m] = Q
+            head = series_quotient(self.gbar, padded)[N + 1:]
+            sigma = (head - self.V @ c[m:]) / self.scale
             y = scipy.linalg.lu_solve(self.lu, sigma)
-            p = np.convolve(self.g1, y)[:n1]         # L(G1) y
+            p = np.convolve(self.gbar, y)[:n]        # L(G1) y
             # x_i -= sum_j p_j b[N+1+j-i]
-            x -= sliding_window_view(self.b[1: N + 1 + n1], n1)[::-1] @ p
-        return series_quotient(self.g1, x) / self.scale_minus
+            x -= sliding_window_view(self.b[1: N + 1 + n], n)[::-1] @ p
+        return series_quotient(self.gbar, x)
 
     def solve(self, Q: np.ndarray) -> np.ndarray:
         """T_N^{-1} Q, refined against the banded section of the product."""
         x = self._apply(Q)
         for _ in range(MAX_REFINEMENT_STEPS):
-            residual = -np.convolve(self.fhat, x)[self.n2:][: self.N + 1]
+            residual = -np.convolve(self.fhat, x)[self.n:][: self.N + 1]
             residual[: Q.size] += Q
             scale = np.abs(self.fhat).sum() * np.abs(x).max() \
                 + np.abs(Q).max(initial=0.0)
@@ -221,7 +195,7 @@ class _InversionContext:
 
 @lru_cache(maxsize=8)
 def _cached_context(factor, N: int) -> _InversionContext:
-    return _InversionContext(_pair_from_factorization(factor), N)
+    return _InversionContext(factor, N)
 
 
 def hankel_product_matrix(factor, N: int) -> HankelProductMatrix:
@@ -254,7 +228,7 @@ def invert_apply(factor, N: int, Q: np.ndarray) -> np.ndarray:
 def inverse_entry(factor, N: int, k: int, l: int) -> complex:
     """Single entry (k, l), 0-based, of the inverse section.
 
-    Read from column l of the inverse, which costs O(N (n1 + n2)).  Raises
+    Read from column l of the inverse, which costs O(N n).  Raises
     NeumannCondition as ``invert_apply`` does.
     """
     if not (0 <= k <= N and 0 <= l <= N):

@@ -55,7 +55,8 @@ def levinson(h: TrigSymbol, M: int) -> PredictorPoly:
     grid = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
     if np.min(h(grid)) <= 0:
         raise NotPositiveDefinite("symbol is not positive on the test grid")
-    r = np.array([h.coeff(j) for j in range(M + 1)])
+    upto = max(M, h.degree)
+    r = h.padded(upto)[upto: upto + M + 1]
     a = np.zeros(M + 1, dtype=complex)
     a[0] = 1.0
     E = float(r[0].real)
@@ -145,10 +146,10 @@ def lemma1_rate(h: TrigSymbol, g_inv_coeffs: Sequence[complex],
 def g_inverse_coeffs(factor, count: int) -> np.ndarray:
     """Series coefficients of 1/g for the analytic factor with h = g conj(g).
 
-    Built from a spectral factorization of a positive symbol: g collects the
-    square root of the scale and the factors (1 - w chi) of g1, whose w are
-    the conjugates of the Laurent polynomial's inside roots.
+    Built from a spectral factorization of a positive symbol: g is the
+    square root of the scale times g1 / phase, whose coefficients are
+    conj(factor.g).
     """
     if factor.scale <= 0:
         raise ValueError("analytic factor needs a positive scale")
-    return inverse_series(factor.g1_factors, count) / np.sqrt(factor.scale)
+    return inverse_series(factor.g.conj(), count) / np.sqrt(factor.scale)

@@ -51,7 +51,7 @@ from .errors import (
     NotHermitian,
 )
 from .hankel_inversion import hankel_half
-from .symbol_core import TrigSymbol
+from .symbol_core import TrigSymbol, factor_poly
 from .toeplitz_core import DenseMatrix, build
 
 log = logging.getLogger("toeplitz_spectra")
@@ -350,11 +350,7 @@ def characteristic_matrix(omegas: np.ndarray, N: int) -> np.ndarray:
     ``omegas`` is (S, r) and M (S, r, r) = V V, with V = ``hankel_half``
     (g, g, N); coinciding partners are repeated factors of g.
     """
-    om = np.asarray(omegas, dtype=complex)
-    g = np.zeros((om.shape[0], om.shape[1] + 1), dtype=complex)
-    g[:, 0] = 1.0
-    for w in om.T:
-        g[:, 1:] -= w[:, None] * g[:, :-1]
+    g = factor_poly(omegas)
     V = hankel_half(g, g, N)
     return V @ V
 

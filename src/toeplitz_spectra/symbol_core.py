@@ -7,15 +7,18 @@ z-plane and from there into the multiplicative split
     f(chi) = C * g1(chi) * g2(chi),    chi = e^{i theta},
 
 where g1 is a product of factors (1 - w chi) with |w| < 1 (so g1 and 1/g1 are
-analytic in the disk) and g2 the mirrored product in chibar.  The power
-series of the inverse of such a product, the one thing the inversion and
-predictor layers take from the factors, is ``inverse_series``.
+analytic in the disk) and g2 the mirrored product in chibar.  For a real
+symbol the two factors are conjugate coefficient by coefficient, so one
+polynomial carries both: ``SpectralFactorization.g``, the coefficients of g2
+in chibar, with those of g1 / phase its conjugates.  It is the one thing the
+inversion and predictor layers take from the factors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +39,6 @@ RECON_TOL = 1e-9
 PF_TOL = 1e-10
 ABERTH_MAX_ITER = 160
 ABERTH_TOL = 1e-13
-RANGE_GRID = 4096
 CEPSTRAL_GRID = 2048
 
 
@@ -146,10 +148,6 @@ class TrigSymbol:
         out[0] = self.coeffs[d].real
         out[1:] = 2.0 * self.coeffs[d + 1:].real
         return out
-
-    def range_on_grid(self) -> tuple[float, float]:
-        vals = self(np.linspace(0.0, 2.0 * np.pi, RANGE_GRID, endpoint=False))
-        return float(vals.min()), float(vals.max())
 
 
 def _horner(a: np.ndarray, theta) -> np.ndarray:
@@ -436,13 +434,22 @@ def partial_fractions(poles: Sequence[tuple[complex, int]]):
 # factor products and their inverse series
 # ---------------------------------------------------------------------------
 
-def factor_poly(factors: Sequence[tuple[complex, int]]) -> np.ndarray:
-    """Ascending coefficients of prod_j (1 - w_j z)^{m_j}."""
-    c = np.array([1.0 + 0j])
-    for w, m in factors:
-        for _ in range(m):
-            c = np.convolve(c, np.array([1.0, -w]))
-    return c
+def factor_poly(roots) -> np.ndarray:
+    """Ascending coefficients of prod_j (1 - w_j z), one product per row.
+
+    ``roots`` is (r,) or (S, r), a repeated root once per multiplicity; the
+    result is (r + 1,) or (S, r + 1).  Each factor enters as Re w and
+    -i Im w, whose products with g are exact, so a coefficient is
+    (g_k - Re w g_{k-1}) + (-i Im w) g_{k-1}: the grouping of a real dot
+    product, as in ``np.convolve(g, [1, -w])``.
+    """
+    w = np.asarray(roots, dtype=complex)
+    g = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,), dtype=complex)
+    g[..., 0] = 1.0
+    for re, im in zip(w.real.T[..., None], (-1j * w.imag).T[..., None]):
+        prev = g[..., :-1]
+        g[..., 1:] = g[..., 1:] - re * prev + im * prev
+    return g
 
 
 def series_quotient(g: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -459,13 +466,11 @@ def series_quotient(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return scipy.linalg.blas.ztbsv(g.size - 1, band, y, lower=1)
 
 
-def inverse_series(factors: Sequence[tuple[complex, int]],
-                   count: int) -> np.ndarray:
-    """Coefficients 0..count-1 of the power series of 1 / factor_poly(factors).
-    """
+def inverse_series(g: np.ndarray, count: int) -> np.ndarray:
+    """Coefficients 0..count-1 of the power series of 1 / g, g[0] = 1."""
     impulse = np.zeros(count, dtype=complex)
     impulse[0] = 1.0
-    return series_quotient(factor_poly(factors), impulse)
+    return series_quotient(g, impulse)
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +484,10 @@ class SpectralFactorization:
     g1(chi) = phase * prod_j (1 - w_j chi)^{s_j} with w_j = conj(inside root),
     g2(chi) = prod_i (1 - a_i chibar)^{s_i} over the inside roots a_i, and
     C > 0 real.  The factors are read from ``roots.inside``, the one copy of
-    the root data.  ``residual`` is max|f - C g1 g2| on the 1024-point grid
-    of the reconstruction check, measured by ``wiener_hopf_factor`` (0 for
-    a factorization built by hand).
+    the root data; ``g`` holds their coefficients.  ``residual`` is
+    max|f - C g1 g2| on the 1024-point grid of the reconstruction check,
+    measured by ``wiener_hopf_factor`` (0 for a factorization built by
+    hand).
     """
 
     scale: float
@@ -489,6 +495,17 @@ class SpectralFactorization:
     roots: RootSet
     symbol: TrigSymbol = field(compare=False)
     residual: float = field(default=0.0, compare=False)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """Ascending coefficients of prod (1 - a z)^s over the inside roots.
+
+        g2(chi) = g(chibar) and g1(chi) = phase * conj(g)(chi), where conj
+        acts on the coefficients.
+        """
+        g = factor_poly([a for a, s in self.roots.inside for _ in range(s)])
+        g.setflags(write=False)
+        return g
 
     @property
     def g1_factors(self) -> tuple:

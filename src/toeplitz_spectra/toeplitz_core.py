@@ -64,25 +64,6 @@ def build(sym: TrigSymbol, N: int) -> ToeplitzMatrix:
     return ToeplitzMatrix(order=N, coeffs=coeffs, bandwidth=min(d, N))
 
 
-def matvec(T: ToeplitzMatrix, x: np.ndarray) -> np.ndarray:
-    """y_k = sum_l hat(k-l) x_l, using only the nonzero band."""
-    x = np.asarray(x)
-    n = T.order + 1
-    if x.shape != (n,):
-        raise ValueError(f"vector length {x.shape} does not match order {T.order}")
-    y = np.zeros(n, dtype=np.result_type(T.coeffs, x))
-    for j in range(-T.bandwidth, T.bandwidth + 1):
-        a = T.coeffs[T.order + j]
-        if a == 0:
-            continue
-        # y[k] += a * x[k - j]
-        if j >= 0:
-            y[j:] += a * x[: n - j]
-        else:
-            y[: n + j] += a * x[-j:]
-    return y
-
-
 def _lu(T: ToeplitzMatrix):
     dense = T.dense()
     if not np.all(np.isfinite(dense)):
@@ -123,10 +104,3 @@ def format_complex(z: complex, digits: int = 17) -> str:
         return f"{re:.{digits}g}"
     sign = "+" if im >= 0 else "-"
     return f"{re:.{digits}g}{sign}{abs(im):.{digits}g}i"
-
-
-def dump_csv(M: DenseMatrix, digits: int = 17) -> str:
-    """Matrix dump: one row per line, entries ``re+imi`` comma separated."""
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    lines = [",".join(format_complex(z, digits) for z in row) for row in M]
-    return "\n".join(lines) + "\n"

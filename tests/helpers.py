@@ -5,12 +5,23 @@ library code it checks (series truncation, convolution identities, dense
 linear algebra), so the two sides never share a bug.
 """
 
+import mpmath
 import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from toeplitz_spectra.predictor import levinson
-from toeplitz_spectra.symbol_core import TrigSymbol, factor_poly, inverse_series
+from toeplitz_spectra.symbol_core import (RootSet, SpectralFactorization,
+                                         TrigSymbol, inverse_series)
+
+RANGE_GRID = 4096
+
+# (root, multiplicity) inside roots with a simple, double and triple root
+MULTIPLICITY_CASES = {
+    1: ((0.6 + 0.3j, 1), (-0.5, 1), (0.2j, 1), (0.8 - 0.1j, 1)),
+    2: ((0.7 + 0.2j, 2), (-0.4, 1), (0.3 - 0.6j, 1)),
+    3: ((0.8, 3), (0.3j, 1)),
+}
 
 
 def poly_from_factors(ws):
@@ -30,6 +41,27 @@ def symbol_from_inside_roots(roots, scale=1.0):
     p = poly_from_factors(roots)
     conv = np.convolve(p, np.conj(p[::-1]))
     return TrigSymbol(scale * conv)
+
+
+def factorization_from_roots(inside, scale=1.0):
+    """SpectralFactorization with the given (root, multiplicity) inside roots.
+
+    Built by hand, without ``wiener_hopf_factor``: phase 1, the mirrored
+    outside roots, and as symbol scale * prod |1 - conj(a) chi|^2, whose
+    Laurent polynomial has exactly these inside roots.
+    """
+    inside = tuple((complex(a), int(m)) for a, m in inside)
+    outside = tuple((1.0 / np.conj(a), m) for a, m in inside)
+    sym = symbol_from_inside_roots(
+        [np.conj(a) for a, m in inside for _ in range(m)], scale)
+    return SpectralFactorization(scale=float(scale), phase=1.0 + 0j,
+                                 roots=RootSet(inside, outside), symbol=sym)
+
+
+def range_on_grid(sym):
+    """(min, max) of a symbol on RANGE_GRID equispaced points of [0, 2 pi)."""
+    vals = sym(np.linspace(0.0, 2.0 * np.pi, RANGE_GRID, endpoint=False))
+    return float(vals.min()), float(vals.max())
 
 
 def char_poly_coeffs(M):
@@ -134,15 +166,62 @@ def recursion_hankel_halves(plus, minus, N):
     triangular Toeplitz matrix; M is the product of the two halves.  The
     route that ``hankel_inversion.hankel_half`` replaced.
     """
-    g1, g2 = factor_poly(plus), factor_poly(minus)
+    g1 = poly_from_factors([w for w, s in plus for _ in range(s)])
+    g2 = poly_from_factors([q for q, s in minus for _ in range(s)])
     n1, n2 = g1.size - 1, g2.size - 1
-    d = inverse_series(plus, N + n1 + n2 + 3)
-    b = inverse_series(minus, N + n1 + n2 + 3)
+    d = inverse_series(g1, N + n1 + n2 + 3)
+    b = inverse_series(g2, N + n1 + n2 + 3)
     i, e = np.arange(n1), np.arange(1, n2 + 1)
     L1 = scipy.linalg.toeplitz(g1[:n1], np.zeros(n1))
     L2 = scipy.linalg.toeplitz(g2[:n2], np.zeros(n2))
     return (d[N + 1 + i[:, None] + e[None, :]] @ L2,
             b[N + 1 + e[:, None] + i[None, :]] @ L1)
+
+
+def _mp_poly(roots):
+    """prod (1 - a z) over ``roots`` as a list of mpc, at the working dps."""
+    g = [mpmath.mpc(1)]
+    for a in roots:
+        a = mpmath.mpc(complex(a))
+        g = [x - a * y for x, y in zip(g + [0], [0] + g)]
+    return g
+
+
+def mp_inverse_series(roots, count, dps=50):
+    """Coefficients 0..count-1 of 1 / prod (1 - a z) in ``dps``-digit mpmath.
+
+    ``roots`` lists a repeated root once per multiplicity.  The polynomial
+    is expanded and its series recursion run in mpmath, so the rounding of
+    the double-precision routes does not enter; the result stays a list of
+    ``mpc``.
+    """
+    with mpmath.workdps(dps):
+        g = _mp_poly(roots)
+        b = [mpmath.mpc(1)]
+        for k in range(1, count):
+            b.append(-mpmath.fsum(g[j] * b[k - j]
+                                  for j in range(1, min(k, len(g) - 1) + 1)))
+        return b
+
+
+def mp_context_product(roots, N, dps=50):
+    """M = V conj(V) of the inversion context from 50-digit series.
+
+    V[i, j] = sum_{j <= e < n} d[N+2+i+e] g[e-j], with d the series of
+    1/conj(g) and g = prod (1 - a z) over ``roots`` (a repeated root once
+    per multiplicity); the product is formed in mpmath as well.
+    """
+    n = len(roots)
+    with mpmath.workdps(dps):
+        g = _mp_poly(roots)
+        d = [mpmath.conj(x) for x in mp_inverse_series(roots, N + 2 * n + 1,
+                                                      dps)]
+        V = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                V[i, j] = mpmath.fsum(d[N + 2 + i + e] * g[e - j]
+                                      for e in range(j, n))
+        return np.array((V * V.apply(mpmath.conj)).tolist(), dtype=complex)
 
 
 def largest_eigenvalues(P, r):

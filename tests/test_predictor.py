@@ -11,7 +11,9 @@ from toeplitz_spectra.predictor import (
 from toeplitz_spectra.symbol_core import TrigSymbol, fourier_coeffs, wiener_hopf_factor
 from toeplitz_spectra.toeplitz_core import build, dense_invert
 
-from helpers import (lemma1_errors_loop, moment_residual_loop,
+from helpers import (MULTIPLICITY_CASES, factorization_from_roots,
+                     lemma1_errors_loop, mp_inverse_series,
+                     moment_residual_loop, range_on_grid,
                      symbol_from_inside_roots)
 
 
@@ -80,7 +82,7 @@ class TestLevinson:
             c = np.concatenate([[rng.uniform(2, 5)],
                                 rng.uniform(-1, 1, size=rng.integers(1, 4))])
             sym = TrigSymbol.from_cosine(c)
-            if sym.range_on_grid()[0] <= 0.1:
+            if range_on_grid(sym)[0] <= 0.1:
                 continue
             M = int(rng.integers(1, 33))
             P = levinson(sym, M)
@@ -155,3 +157,16 @@ class TestGInverseCoeffs:
         P = levinson(sym, 200)
         limit = np.conj(b[0]) * b / abs(b[0])
         assert np.max(np.abs(P.beta[:100] - limit)) < 1e-12
+
+    @pytest.mark.parametrize("mult", sorted(MULTIPLICITY_CASES))
+    def test_against_mpmath(self, mult):
+        # 1/g = conj of the series of 1/prod (1 - a z), over the inside
+        # roots a, scaled by 1/sqrt(C); measured at most 9.1e-15 of max|b|
+        # on these simple, double and triple roots, 2.6e-14 over 180 random
+        # draws of degree 1-5
+        inside = MULTIPLICITY_CASES[mult]
+        roots = [a for a, m in inside for _ in range(m)]
+        b = g_inverse_coeffs(factorization_from_roots(inside, 2.0), 400)
+        want = np.conj(np.array(mp_inverse_series(roots, 400),
+                                dtype=complex)) / np.sqrt(2.0)
+        assert np.max(np.abs(b - want)) <= 1e-13 * np.max(np.abs(want))

@@ -40,6 +40,7 @@ from helpers import (
     dense_slot_assignment,
     grid_minimizer,
     largest_eigenvalues,
+    range_on_grid,
     recursion_hankel_halves,
     slot_cost,
     symbol_from_inside_roots,
@@ -385,11 +386,11 @@ class TestGridLocalize:
         for _ in range(5):
             c = rng.standard_normal(4)
             sym = TrigSymbol.from_cosine(c)
-            lo, hi = sym.range_on_grid()
+            lo, hi = range_on_grid(sym)
             if lo <= 0:
                 c[0] += 1.0 - 2 * lo
                 sym = TrigSymbol.from_cosine(c)
-                lo, hi = sym.range_on_grid()
+                lo, hi = range_on_grid(sym)
             for N in (32, 256):
                 eig = hermitian_eigen(build(sym, N).dense())
                 assert eig.eigenvalues[0] >= lo - 1e-10
@@ -669,7 +670,7 @@ class TestDetEquationRoots:
     def test_missed_roots_raise(self, cosine, n_samples, rel_margin, margin,
                                 missed):
         sym = TrigSymbol.from_cosine(cosine)
-        lo, hi = sym.range_on_grid()
+        lo, hi = range_on_grid(sym)
         margin += rel_margin * (hi - lo)
         with pytest.raises(MissedRoots) as info:
             det_equation_roots(sym, 8, (lo + margin, hi - margin),

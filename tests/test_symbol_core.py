@@ -11,6 +11,7 @@ from toeplitz_spectra.symbol_core import (
     RECON_TOL,
     TrigSymbol,
     cepstral_factor,
+    factor_poly,
     fourier_coeffs,
     laurent_roots,
     partial_fractions,
@@ -18,7 +19,8 @@ from toeplitz_spectra.symbol_core import (
     wiener_hopf_factor,
 )
 
-from helpers import exp_sum_symbol, symbol_from_inside_roots
+from helpers import (exp_sum_symbol, poly_from_factors,
+                     symbol_from_inside_roots)
 
 EPS = np.finfo(float).eps
 
@@ -269,6 +271,31 @@ class TestWienerHopf:
         sym = TrigSymbol(c)
         rs = laurent_roots(sym.coeffs)
         assert rs.balanced  # real symbols always balance; sanity guard
+
+
+class TestFactorPoly:
+    def test_stack_matches_rows_and_convolution(self):
+        rng = np.random.default_rng(6)
+        for r in range(5):
+            w = rng.standard_normal((7, r)) + 1j * rng.standard_normal((7, r))
+            g = factor_poly(w)
+            assert g.shape == (7, r + 1)
+            for s in range(7):
+                assert np.array_equal(g[s], factor_poly(w[s]))
+                want = poly_from_factors(w[s])
+                assert np.max(np.abs(g[s] - want)) \
+                    <= 4 * EPS * np.max(np.abs(want))
+
+    def test_factorization_g(self):
+        # f = C * phase * conj(g)(chi) * g(chibar) on the circle
+        sym = symbol_from_inside_roots([0.5, 0.5, -0.3 + 0.4j, 0.6j], 1.5)
+        fac = wiener_hopf_factor(sym)
+        assert fac.g.size == fac.n0 + 1 and not fac.g.flags.writeable
+        chi = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+        P = np.polynomial.polynomial
+        prod = (fac.scale * fac.phase * P.polyval(chi, np.conj(fac.g))
+                * P.polyval(np.conj(chi), fac.g))
+        assert np.max(np.abs(prod - sym(np.angle(chi)))) <= 1e-12
 
 
 class TestPartialFractions:

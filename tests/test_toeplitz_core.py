@@ -7,9 +7,7 @@ from toeplitz_spectra.toeplitz_core import (
     build,
     dense_det,
     dense_invert,
-    dump_csv,
     format_complex,
-    matvec,
 )
 
 from helpers import symbol_from_inside_roots
@@ -88,30 +86,6 @@ class TestDenseInvert:
             assert np.max(np.abs(inv @ T.dense() - eye)) < 1e-9
 
 
-class TestMatvec:
-    def test_scaled_identity(self):
-        T = build(TrigSymbol.constant(2.5), 4)
-        x = np.arange(5.0)
-        assert np.allclose(matvec(T, x), 2.5 * x)
-
-    def test_laplacian_on_ones(self):
-        T = build(TrigSymbol.from_cosine([2.0, -2.0]), 5)
-        y = matvec(T, np.ones(6))
-        assert np.allclose(y, [1, 0, 0, 0, 0, 1])
-
-    def test_matches_dense(self):
-        rng = np.random.default_rng(2)
-        sym = symbol_from_inside_roots([0.5, -0.3 + 0.4j, -0.3 - 0.4j])
-        T = build(sym, 4)
-        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert np.max(np.abs(matvec(T, x) - T.dense() @ x)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        T = build(TrigSymbol.constant(1.0), 3)
-        with pytest.raises(ValueError):
-            matvec(T, np.ones(5))
-
-
 class TestDetAndDump:
     def test_det_matches_eig_free_route(self):
         T = build(TrigSymbol.from_cosine([2.0, -2.0]), 3)
@@ -122,11 +96,3 @@ class TestDetAndDump:
         assert format_complex(1.5 + 0.25j, 6) == "1.5+0.25i"
         assert format_complex(1.5 - 0.25j, 6) == "1.5-0.25i"
         assert format_complex(2.0 + 0j, 6) == "2"
-
-    def test_dump_parses_back(self):
-        M = np.array([[1 + 2j, 3], [0, -1 - 0.5j]])
-        text = dump_csv(M)
-        rows = [line.split(",") for line in text.strip().splitlines()]
-        back = np.array([[complex(cell.replace("i", "j")) for cell in row]
-                         for row in rows])
-        assert np.array_equal(back, M)
