@@ -3,37 +3,34 @@ localization of eigenvalues of even symbols, and the characteristic-
 determinant pipeline that reproduces the spectrum from the circle partners
 of the symbol antecedents.
 
-The monotone branches of a symbol on [0, pi] carry all of its extrema:
-localization seeds antecedents from them, the determinant scan guards its
-critical values, and the unique minimizer of an even symbol is one of
-their ends, 0 or pi.  They are cached for the last symbol asked for.
+An even symbol is f = p(cos theta), p = sum_j c_j T_j, and its searches
+read one root stack, ``_x_roots``: the roots x of p - lambda for many
+lambda, from one stack of Chebyshev colleague matrices.  The monotone
+branches on [0, pi], cut where f turns at arccos of a root of p', carry all
+extrema of f: localization takes antecedents from the roots of p - lambda,
+the determinant scan guards the critical values, and the unique minimizer
+is a branch end, 0 or pi.  Branches are not cached; each call solves one
+small eigenvalue problem for them.
 
-For an even cosine polynomial f and real lambda, writing x = cos(theta),
-f - lambda factors over its antecedent roots x_j through the partners
-omega_j (|omega_j| <= 1) with omega + 1/omega = 2 x_j.  The composed Hankel
-matrix M(lambda) is the state-space product matrix of ``hankel_inversion``
-with both factors equal to g = prod (1 - omega_j z), M = V V from that
-module's ``hankel_half``, so repeated partners are just repeated factors.
-lambda belongs to the spectrum of the order-N section exactly when
-det(I - M(lambda)) = 0, which is located here by phase-normalized sign
-scans.
-
-Every search is batched over its parameters: the antecedent roots x_j of
-all sampled lambda are the eigenvalues of one stack of companion matrices,
-the determinant is evaluated for the whole stack at once, and every root
-(derivative zeros, branch antecedents, determinant sign changes) is refined
-by one vectorised bracketing root finder in about ten rounds.  A
-determinant scan that finds fewer roots than the section has eigenvalues
-in its window raises MissedRoots.  Grid localization gives the eigenvalues
-distinct slots (branch, k) next to their antecedents, at least total
-squared grid distance.
+For real lambda, f - lambda factors over its antecedent roots x_j through
+the partners omega_j (|omega_j| <= 1) with omega + 1/omega = 2 x_j.  The
+composed Hankel matrix M(lambda) is the state-space product matrix of
+``hankel_inversion`` with both factors equal to g = prod (1 - omega_j z),
+M = V V from that module's ``hankel_half``, so repeated partners are just
+repeated factors.  lambda belongs to the spectrum of the order-N section
+exactly when det(I - M(lambda)) = 0: the determinant is evaluated for all
+samples of a window at once, and the sign changes of its phase-normalized
+real part are refined together by ``_root``, a vectorised bracketing root
+finder, in about ten rounds.  A scan that finds fewer roots than the
+section has eigenvalues in its window raises MissedRoots.  Grid
+localization gives the eigenvalues distinct slots (branch, k) next to
+their antecedents, at least total squared grid distance.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,15 +57,13 @@ CRIT_TOL = 1e-6
 RESID_TOL = 1e-6
 # a root scan need not find eigenvalues this close to its window's edges
 ROOT_MARGIN = 1e-5
-BRANCH_GRID = 8193
-LOCALIZE_TABLE = 1025         # samples of f per branch that seed antecedents
 ROOT_STEPS = 100
 WEYL_TEST_FUNCTIONS = (lambda x: x, lambda x: x ** 2, lambda x: x ** 3,
                        lambda x: x ** 4, np.abs, np.exp)
 
 
 # ---------------------------------------------------------------------------
-# banded Hermitian eigensolver and batched root finder
+# banded Hermitian eigensolver and the two root finders
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +126,7 @@ def hermitian_eigen(M: DenseMatrix) -> EigenDecomposition:
 
 def _root(g: Callable[[np.ndarray], np.ndarray], lo, hi, g_lo, g_hi
           ) -> np.ndarray:
-    """Roots of a real function ``g`` in many brackets [lo, hi] at once.
+    """The det scan's refiner: roots of a real ``g`` in brackets [lo, hi].
 
     ``g`` maps an array of points, one per bracket, to the function values;
     ``g_lo`` and ``g_hi`` are its values at the ends, of opposite signs or
@@ -176,6 +171,19 @@ def _root(g: Callable[[np.ndarray], np.ndarray], lo, hi, g_lo, g_hi
     return xm
 
 
+def _x_roots(c: np.ndarray, lams) -> np.ndarray:
+    """The (S, d) roots x of sum_j c[j] T_j(x) - lam for S values ``lams``,
+    d >= 1: eigenvalues of a stack of colleague matrices (Good 1961), stable
+    at degrees where the power basis is not.  lam changes one entry, by c[0].
+    """
+    lams = np.asarray(lams, dtype=float)
+    d = c.size - 1
+    A = np.repeat(np.polynomial.chebyshev.chebcompanion(c)[None],
+                  lams.size, axis=0)
+    A[:, 0, d - 1] += lams * (np.sqrt(0.5) if d > 1 else 1.0) / c[-1]
+    return np.linalg.eigvals(A)
+
+
 # ---------------------------------------------------------------------------
 # monotone branches and grid localization
 # ---------------------------------------------------------------------------
@@ -195,46 +203,53 @@ class GridLocation:
     eigenvalue: float
 
 
-@lru_cache(maxsize=1)
 def monotone_branches(sym: TrigSymbol) -> tuple:
-    """Maximal monotone pieces (a, b, f(a), f(b)) of the symbol on [0, pi],
-    kept for the last symbol asked for (localization, then the det scan)."""
-    theta = np.linspace(0.0, np.pi, BRANCH_GRID)
-    df = sym.derivative(theta)
-    flat = (df[:-1] == 0.0) & (np.arange(BRANCH_GRID - 1) > 0)
-    change = df[:-1] * df[1:] < 0
-    zeros = _root(sym.derivative, theta[:-1][change], theta[1:][change],
-                  df[:-1][change], df[1:][change])
-    cuts = sorted({0.0, np.pi, *theta[:-1][flat].tolist(), *zeros.tolist()})
-    merged = [cuts[0]]
-    for c in cuts[1:]:
-        if c - merged[-1] > 1e-9:
-            merged.append(c)
-    vals = sym(np.array(merged)).tolist()
-    return tuple(zip(merged[:-1], merged[1:], vals[:-1], vals[1:]))
+    """Maximal monotone pieces (a, b, f(a), f(b)) of an even symbol on [0, pi].
+
+    The candidate cuts are arccos of the real parts in (-1, 1) of the roots
+    of p', f = p(cos theta).  One is kept where f turns: where the changes
+    of f before and after it, ignoring those within 1e-12 of its range,
+    have opposite signs.  A root of p' of even multiplicity, which rounding
+    splits into close roots or a complex pair, is then no cut.
+    """
+    dp = np.polynomial.chebyshev.chebder(sym.cosine_coeffs())
+    x = _x_roots(dp, [0.0])[0].real if dp.size > 1 else np.empty(0)
+    theta = np.r_[0.0, np.sort(np.arccos(x[np.abs(x) < 1.0])), np.pi]
+    vals = sym(theta)
+    step = np.diff(vals)
+    sign = np.sign(step) * (np.abs(step) > 1e-12 * np.ptp(vals))
+    moves = np.flatnonzero(sign)
+    turns = moves[1:][sign[moves[1:]] != sign[moves[:-1]]]
+    ends = np.r_[0, turns, theta.size - 1]
+    t, v = theta[ends].tolist(), vals[ends].tolist()
+    return tuple(zip(t[:-1], t[1:], v[:-1], v[1:]))
 
 
 def grid_localize(sym: TrigSymbol, N: int, eig: EigenDecomposition
                   ) -> list[GridLocation]:
     """Assign each eigenvalue a grid point k pi/(N+2) through an antecedent.
 
-    For every eigenvalue the antecedents on all monotone branches are
-    roots of f(theta) - lambda, each refined from the cell of a table of f
-    on its branch that brackets it, and ``_slot_assignment`` picks the
-    slots (branch, k).  Raises LocalizationFailure when some eigenvalue
-    gets no slot, and its subclass FlatSymbol up front when the symbol's
-    range is within the rounding (N + 1) eps max|f| of the section's
-    eigenvalues: there every antecedent is an artefact of rounding.
+    On each monotone branch whose range holds lambda, the antecedent is the
+    root of p - lambda (``_x_roots``) nearest the branch's x-interval,
+    clipped into it; a near-double root that comes out as a complex pair
+    lands on the shared cut.  ``_slot_assignment`` picks the slots (branch,
+    k).  Raises LocalizationFailure for a symbol that is not even and when
+    some eigenvalue gets no slot, and its subclass FlatSymbol up front when
+    the symbol's range is within the rounding (N + 1) eps max|f| of the
+    section's eigenvalues: there every antecedent is an artefact of rounding.
     """
+    if not sym.parity:
+        raise LocalizationFailure(
+            f"grid localization needs an even symbol: parity {sym.parity}")
     lams = eig.eigenvalues
     if sym.degree == 0:
         # every eigenvalue equals the constant; grid position is conventional
         return [GridLocation(k=min(j, N + 1), theta_shift=0.0, theta_star=0.0,
                              branch=0, eigenvalue=float(l))
                 for j, l in enumerate(lams)]
-    branches = monotone_branches(sym)
-    fmin = min(min(fa, fb) for _, _, fa, fb in branches)
-    fmax = max(max(fa, fb) for _, _, fa, fb in branches)
+    a, b, fa, fb = np.array(monotone_branches(sym)).T
+    lo, hi = np.minimum(fa, fb), np.maximum(fa, fb)
+    fmin, fmax = lo.min(), hi.max()
     span = fmax - fmin
     rounding = (N + 1) * np.finfo(float).eps * max(abs(fmin), abs(fmax))
     if span <= rounding:
@@ -250,20 +265,13 @@ def grid_localize(sym: TrigSymbol, N: int, eig: EigenDecomposition
             f"eigenvalue {lams[outside[0]]} outside the symbol range "
             f"[{fmin}, {fmax}]")
     # theta[j, b]: antecedent of eigenvalue j on branch b (NaN: none there)
-    theta = np.full((lams.size, len(branches)), np.nan)
-    for bi, (a, b, fa, fb) in enumerate(branches):
-        lo, hi = min(fa, fb), max(fa, fb)
-        on = (lam_c >= lo - 1e-12 * span) & (lam_c <= hi + 1e-12 * span)
-        target = np.clip(lam_c[on], lo, hi)
-        # the first table cell that straddles the target, on rising f
-        ts = np.linspace(a, b, LOCALIZE_TABLE)
-        tab = sym(ts)
-        tab[[0, -1]] = fa, fb  # the ends that the targets are clipped to
-        up = 1.0 if fb >= fa else -1.0
-        i = np.searchsorted(np.maximum.accumulate(up * tab), up * target)
-        i = np.maximum(i - 1, 0)  # 0 only where the target is f(a)
-        theta[on, bi] = _root(lambda m: sym(m) - target, ts[i], ts[i + 1],
-                              tab[i] - target, tab[i + 1] - target)
+    x = _x_roots(sym.cosine_coeffs(), lam_c)[:, None, :]
+    near = np.clip(x.real, np.cos(b)[:, None], np.cos(a)[:, None])
+    pick = np.argmin(np.abs(x - near), axis=2)[..., None]
+    on = ((lam_c[:, None] >= lo - 1e-12 * span)
+          & (lam_c[:, None] <= hi + 1e-12 * span))
+    theta = np.where(on, np.arccos(np.take_along_axis(near, pick, 2)[..., 0]),
+                     np.nan)
     branch, k = _slot_assignment(theta, N)
     theta_star = theta[np.arange(lams.size), branch]
     shift = (theta_star - k * grid_step) * N / np.pi
@@ -314,34 +322,20 @@ def _slot_assignment(theta: np.ndarray, N: int) -> tuple:
 # characteristic matrix and determinant equation
 # ---------------------------------------------------------------------------
 
-def _x_polynomial(sym: TrigSymbol) -> np.ndarray:
-    """Ascending power-series coefficients of f as a polynomial in x = cos."""
-    if not sym.parity or sym.degree == 0:
-        raise ValueError(
-            "the characteristic pipeline needs a non-constant even symbol")
-    return np.polynomial.chebyshev.cheb2poly(sym.cosine_coeffs())
+def _antecedent_partners(c: np.ndarray, lams) -> np.ndarray:
+    """Partners omega (|omega| <= 1) of the roots of p(x) - lam, x = cos.
 
-
-def _antecedent_partners(px: np.ndarray, lams) -> np.ndarray:
-    """Partners omega (|omega| <= 1) of the roots of f(x) - lam, x = cos.
-
-    ``px`` is f as a polynomial in x (``_x_polynomial``).  For S values
-    ``lams`` returns the (S, d) partners, with omega + 1/omega = 2 x; a root
-    in (-1, 1) gets the unimodular partner e^{-i theta}, x = cos(theta).
-    The roots are the eigenvalues of the companion matrices of f(x) - lam
-    (as in ``np.roots``), one stacked matrix per value.
+    ``c`` holds the cosine coefficients of f = p(cos theta).  For S values
+    ``lams`` returns the (S, d) partners of the roots (``_x_roots``), with
+    omega + 1/omega = 2 x; a root in (-1, 1) gets the unimodular partner
+    e^{-i theta}, x = cos(theta).
     """
-    lams = np.asarray(lams, dtype=float)
-    d = px.size - 1
-    comp = np.zeros((lams.size, d, d))
-    comp[:, 0, :] = -px[-2::-1] / px[-1]
-    comp[:, 0, d - 1] = -(px[0] - lams) / px[-1]
-    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    x = np.linalg.eigvals(comp).astype(complex)
+    x = _x_roots(c, lams).astype(complex)
     real_in = (np.abs(x.imag) < 1e-11) & (np.abs(x.real) <= 1.0 - 1e-11)
     x = np.where(real_in, x.real + 0j, x)       # on the cut from above
-    # the branch of x - sqrt(x^2 - 1) cut along [-1, 1] maps into the disk
-    return x - np.sqrt(x - 1.0) * np.sqrt(x + 1.0)
+    # the branch of x - sqrt(x^2 - 1) cut along [-1, 1] maps into the disk;
+    # it equals 1 / (x + sqrt(x^2 - 1)), which does not cancel at large |x|
+    return 1.0 / (x + np.sqrt(x - 1.0) * np.sqrt(x + 1.0))
 
 
 def characteristic_matrix(omegas: np.ndarray, N: int) -> np.ndarray:
@@ -361,11 +355,11 @@ class DetRootsResult:
     excluded: tuple           # (lo, hi) guard windows around critical values
 
 
-def _det_normalized(px: np.ndarray, lams: np.ndarray, N: int):
+def _det_normalized(c: np.ndarray, lams: np.ndarray, N: int):
     """Phase-normalized det(I - M(lambda)), the determinant, and the count of
     unimodular partners, per lambda; each unimodular partner omega puts
     omega^{-(N+2)}/i into the normalization.  Finite for every lambda."""
-    om = _antecedent_partners(px, lams)
+    om = _antecedent_partners(c, lams)
     D = np.linalg.det(np.eye(om.shape[1]) - characteristic_matrix(om, N))
     uni = np.abs(np.abs(om) - 1.0) < 1e-9
     n_uni = uni.sum(axis=1)
@@ -380,24 +374,26 @@ def det_equation_roots(sym: TrigSymbol, N: int,
     """All roots of det(I - M(lambda)) = 0 in a window of spectral parameters.
 
     The window is sampled and the determinant evaluated at all samples in
-    one batch, the antecedent roots of every sample coming from one stack
-    of companion-matrix eigenvalue problems.  Guard bands of width
-    CRIT_TOL around critical values of the symbol are skipped (reported
-    in the result), and the roots of the phase-normalized real part are
-    refined from all of its sign changes together.  A determinant-residual
-    test rejects the refined points where that real part jumps or crosses
-    zero away from a root, and the normalized imaginary part at a root is
-    asserted below 1e-8.  The root count is certified against the
+    one batch, the antecedent roots of every sample coming from one
+    ``_x_roots`` stack.  Guard bands of width CRIT_TOL around critical
+    values of the symbol are skipped (reported in the result), and the
+    roots of the phase-normalized real part are refined from all of its
+    sign changes together.  A determinant-residual test rejects the refined
+    points where that real part jumps or crosses zero away from a root, and
+    the normalized imaginary part at a root is asserted below 1e-8.  The root count is certified against the
     eigenvalues of the order-N section that lie inside the window by more
     than 1e-5 and outside every guard window widened by one sample step:
     fewer roots than those raise MissedRoots (a sign scan cannot see two
     roots in one sample interval, nor a root where the normalized
     determinant is nearly imaginary).
     """
+    if not sym.parity or sym.degree == 0:
+        raise ValueError(
+            "the characteristic pipeline needs a non-constant even symbol")
     if n_samples < 2:
         raise ValueError("a determinant scan needs at least two samples")
     lo, hi = lambda_window
-    px = _x_polynomial(sym)
+    c = sym.cosine_coeffs()
     lams = np.linspace(lo, hi, n_samples)
     # critical values: f at the ends of the monotone branches
     crit = np.array([v for *_, fa, fb in monotone_branches(sym)
@@ -406,16 +402,16 @@ def det_equation_roots(sym: TrigSymbol, N: int,
     ok = ~guard
     Dn = np.full(n_samples, np.nan, dtype=complex)
     n_uni = np.zeros(n_samples, dtype=int)
-    Dn[ok], _, n_uni[ok] = _det_normalized(px, lams[ok], N)
+    Dn[ok], _, n_uni[ok] = _det_normalized(c, lams[ok], N)
     scale = float(np.max(np.abs(Dn[ok]))) if ok.any() else 1.0
     re = Dn.real
     ra = np.where(re[:-1] == 0.0, 1e-300, re[:-1])
     brackets = np.flatnonzero(ok[:-1] & ok[1:] & (n_uni[:-1] == n_uni[1:])
                               & (ra * re[1:] < 0))
-    mids = _root(lambda m: _det_normalized(px, m, N)[0].real,
+    mids = _root(lambda m: _det_normalized(c, m, N)[0].real,
                  lams[brackets], lams[brackets + 1], re[brackets],
                  re[brackets + 1])
-    Dn_mids, D_mids, _ = _det_normalized(px, mids, N)
+    Dn_mids, D_mids, _ = _det_normalized(c, mids, N)
     roots = []
     for lam_root, Dn_r, D_r in zip(mids.tolist(), Dn_mids, D_mids):
         if abs(D_r) > RESID_TOL * scale:

@@ -54,8 +54,7 @@ class TrigSymbol:
     ``coeffs[d + j]`` is the j-th Fourier coefficient c_j.  Construction
     enforces Hermitian symmetry (real symbol): f = c_0 + 2 Re sum_{j>=1} c_j
     z^j at z = e^{i theta}, evaluated by Horner in z, as is f'.  ``parity``
-    marks even symbols, whose coefficients are real and symmetric.  Two
-    symbols are equal, and hash alike, when their coefficient bytes are.
+    marks even symbols, whose coefficients are real and symmetric.
     """
 
     coeffs: np.ndarray
@@ -86,14 +85,6 @@ class TrigSymbol:
         herm.setflags(write=False)
         object.__setattr__(self, "coeffs", herm)
         object.__setattr__(self, "parity", even)
-
-    def __eq__(self, other):
-        if not isinstance(other, TrigSymbol):
-            return NotImplemented
-        return self.coeffs.tobytes() == other.coeffs.tobytes()
-
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
 
     # -- constructors -------------------------------------------------------
 

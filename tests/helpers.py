@@ -267,6 +267,78 @@ def bisect_fixed(g, lo, hi, steps):
     return 0.5 * (lo + hi)
 
 
+def grid_branches(sym, n_grid=8193):
+    """Monotone pieces (a, b, f(a), f(b)) of a symbol on [0, pi] from a grid.
+
+    f' is sampled on n_grid points; each sign change is bisected, an
+    interior sample where f' is exactly 0 is a cut too, and cuts closer
+    than 1e-9 are merged.  The route that ``spectra.monotone_branches``
+    replaced.
+    """
+    theta = np.linspace(0.0, np.pi, n_grid)
+    df = sym.derivative(theta)
+    flat = (df[:-1] == 0.0) & (np.arange(n_grid - 1) > 0)
+    change = df[:-1] * df[1:] < 0
+    s = np.sign(df[:-1][change])
+    zeros = bisect_fixed(lambda m: s * sym.derivative(m), theta[:-1][change],
+                         theta[1:][change], 100)
+    cuts = sorted({0.0, np.pi, *theta[:-1][flat].tolist(), *zeros.tolist()})
+    merged = [cuts[0]]
+    for c in cuts[1:]:
+        if c - merged[-1] > 1e-9:
+            merged.append(c)
+    vals = sym(np.array(merged)).tolist()
+    return tuple(zip(merged[:-1], merged[1:], vals[:-1], vals[1:]))
+
+
+def table_antecedents(sym, branches, lams, n_table=1025):
+    """theta[j, b]: the antecedent of lams[j] on branch b, NaN off its range.
+
+    A table of f on n_table points of each branch brackets every target
+    (lams clipped into the branch's range), and bisection refines it.  The
+    route that ``spectra.grid_localize`` replaced.
+    """
+    lams = np.asarray(lams, dtype=float)
+    span = max(max(fa, fb) for *_, fa, fb in branches) \
+        - min(min(fa, fb) for *_, fa, fb in branches)
+    theta = np.full((lams.size, len(branches)), np.nan)
+    for bi, (a, b, fa, fb) in enumerate(branches):
+        lo, hi = min(fa, fb), max(fa, fb)
+        on = (lams >= lo - 1e-12 * span) & (lams <= hi + 1e-12 * span)
+        target = np.clip(lams[on], lo, hi)
+        ts = np.linspace(a, b, n_table)
+        tab = sym(ts)
+        tab[[0, -1]] = fa, fb
+        up = 1.0 if fb >= fa else -1.0
+        i = np.searchsorted(np.maximum.accumulate(up * tab), up * target)
+        i = np.maximum(i - 1, 0)
+        theta[on, bi] = bisect_fixed(lambda m: up * (target - sym(m)),
+                                     ts[i], ts[i + 1], 100)
+    return theta
+
+
+def mp_x_roots(cosine, lam, dps=50):
+    """Roots x of sum_j cosine[j] T_j(x) - lam at dps digits, by mpmath.
+
+    The Chebyshev series goes to the power basis by T_{j+1} = 2x T_j -
+    T_{j-1} in dps-digit arithmetic, whose roots ``mpmath.polyroots``
+    finds; an independent route to ``spectra._x_roots``.
+    """
+    with mpmath.workdps(dps):
+        cheb = [[mpmath.mpf(1)], [mpmath.mpf(0), mpmath.mpf(1)]]
+        while len(cheb) < len(cosine):
+            twice = [mpmath.mpf(0), *(2 * v for v in cheb[-1])]
+            cheb.append([v - (cheb[-2][i] if i < len(cheb[-2]) else 0)
+                         for i, v in enumerate(twice)])
+        power = [mpmath.mpf(0)] * len(cosine)
+        for cj, tj in zip(cosine, cheb):
+            for i, v in enumerate(tj):
+                power[i] += mpmath.mpf(float(cj)) * v
+        power[0] -= mpmath.mpf(float(lam))
+        roots = mpmath.polyroots(power[::-1], maxsteps=400, extraprec=dps)
+        return [complex(r) for r in roots]
+
+
 def exp_sum_symbol(sym, theta):
     """f and f' of a TrigSymbol from the full exponential sum over -d..d.
 

@@ -71,6 +71,15 @@ class TestEigen:
         data = json.loads(summary.read_text())
         assert data["pass"] and data["max_theta_shift"] < 1.0
 
+    def test_non_even_symbol_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "eigen", "--symbol",
+                                 '{"coeffs": [[0.3, -0.2], [2, 0], [0.3, 0.2]]}',
+                                 "--N", "8")
+        assert code == 2 and out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "LocalizationFailure"
+        assert "parity False" in diag["message"]
+
 
 class TestInvert:
     def test_entry_value(self, capsys):

@@ -84,15 +84,6 @@ class TestTrigSymbol:
         sym = TrigSymbol.from_cosine([1.0, 0.5, 0.0])
         assert sym.degree == 1
 
-    def test_equality_and_hash_by_coefficients(self):
-        a = TrigSymbol.from_cosine([1.0, 2.0])
-        b = TrigSymbol(np.array([1.0, 1.0, 1.0]))
-        c = TrigSymbol.from_cosine([1.0, 2.0, 0.5])
-        assert a == b and hash(a) == hash(b)
-        assert a != c and a != "a symbol" and a in [c, b]
-        assert TrigSymbol.from_cosine([1.0, 2.0, 0.0]) == a   # trimmed
-        assert len({a, b, c}) == 2
-
     def test_from_cosine_layout(self):
         sym = TrigSymbol.from_cosine([3.0, -1.0, 0.4])
         assert np.array_equal(sym.coeffs, [0.2, -0.5, 3.0, -0.5, 0.2])
