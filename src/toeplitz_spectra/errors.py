@@ -6,7 +6,15 @@ class; all of them derive from ToeplitzSpectraError.
 
 
 class ToeplitzSpectraError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    Keyword arguments are the measured quantities behind a failure; each
+    becomes an attribute of the same name.
+    """
+
+    def __init__(self, message, **measured):
+        super().__init__(message)
+        self.__dict__.update(measured)
 
 
 class AliasingRisk(ToeplitzSpectraError):
@@ -35,10 +43,6 @@ class SingularMatrix(ToeplitzSpectraError):
     The offending pivot magnitude is stored in ``pivot``.
     """
 
-    def __init__(self, message, pivot=None):
-        super().__init__(message)
-        self.pivot = pivot
-
 
 class NotHermitian(ToeplitzSpectraError):
     """Matrix handed to the Hermitian eigensolver is not Hermitian.
@@ -47,10 +51,7 @@ class NotHermitian(ToeplitzSpectraError):
     when the matrix is not square.
     """
 
-    def __init__(self, message, asymmetry=None, shape=None):
-        super().__init__(message)
-        self.asymmetry = asymmetry
-        self.shape = shape
+    asymmetry = shape = None
 
 
 class NonFiniteMatrix(ToeplitzSpectraError):
@@ -58,10 +59,6 @@ class NonFiniteMatrix(ToeplitzSpectraError):
 
     ``count`` is the number of non-finite entries.
     """
-
-    def __init__(self, message, count=None):
-        super().__init__(message)
-        self.count = count
 
 
 class EigenFailure(ToeplitzSpectraError):
@@ -79,11 +76,6 @@ class FlatSymbol(LocalizationFailure):
     level (N + 1) eps max|f| of the order-N section's eigenvalues.
     """
 
-    def __init__(self, message, span=None, rounding=None):
-        super().__init__(message)
-        self.span = span
-        self.rounding = rounding
-
 
 class ExcludedLambda(ToeplitzSpectraError):
     """The normalized determinant is not real at a root of the det scan."""
@@ -96,11 +88,6 @@ class MissedRoots(ToeplitzSpectraError):
     roots it returned.
     """
 
-    def __init__(self, message, expected=None, found=None):
-        super().__init__(message)
-        self.expected = expected
-        self.found = found
-
 
 class NotPositiveDefinite(ToeplitzSpectraError):
     """Autocovariance sequence is not positive definite (|kappa| >= 1)."""
@@ -110,8 +97,13 @@ class PredictorRootOnCircle(ToeplitzSpectraError):
     """Predictor polynomial vanishes on the evaluation grid."""
 
 
-class NeumannCondition(ToeplitzSpectraError):
-    """Hankel product norm is >= 1; the inversion formula is not certified."""
+class RefinementFailure(ToeplitzSpectraError):
+    """A structured inverse column misses its residual tolerance.
+
+    ``residual`` is the column's final relative residual against the banded
+    section of the factor product, ``tolerance`` the bound it had to meet
+    and ``steps`` the refinement steps taken.
+    """
 
 
 class SmallSystemSingular(ToeplitzSpectraError):
@@ -131,7 +123,3 @@ class ApproxFailure(ToeplitzSpectraError):
 
     ``achieved`` holds the best sup-norm error reached.
     """
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved

@@ -8,15 +8,14 @@ one scale s = C * phase.  The formulas below use two power series,
     d = coefficients of 1/G1 = conj(b),    b = coefficients of 1/g,
 
 and the lower triangular Toeplitz matrices L(G1) and L(G2) (n x n) of the
-leading coefficients.  Only b is stored (to index N + n); d enters through
-forward recursions and the product matrix.  Repeated or close roots are
-just repeated factors.
+leading coefficients.  Only b is stored (to index N + 2n); d enters
+through forward recursions and the product matrix.  Repeated or close roots
+are just repeated factors.
 
 State basis.  The stable subspace E = {p(chi)/G1(chi) : deg p < n} is the
 range of the composed Hankel maps of Phi_N = chi^{N+1} s G1 / G2.  An
 element is stored as its first n series coefficients x (its "state"); its
-numerator is p = L(G1) x, and its later coefficients follow from the
-companion matrix A of G1.
+numerator is p = L(G1) x.
 
 Product matrix.  On states, H_Phitilde H_Phi acts as the n x n matrix
 
@@ -24,17 +23,11 @@ Product matrix.  On states, H_Phitilde H_Phi acts as the n x n matrix
     Hd(ga)[i, e] = (1/ga)[N+2+i+e],
 
 for i, e < n; the scale cancels, and V(G2, G1) = conj(V(G1, G2)) since
-G1 = conj(G2).  ``hankel_half`` builds V for a stack of factor pairs, with
-the far terms of 1/ga from a power of its companion matrix (log N
-squarings), so coinciding roots need no care.  The inversion context takes
-V from one call on its single pair, the determinant scan of ``spectra``
-M = V V with equal factors.
-
-Stein Gram.  The squared norm of the element with state x is x^H G x, with
-G = A^H G A + e0 e0^T (``solve_discrete_lyapunov``).  ``norm2`` is the
-operator norm of M in that inner product, ||R M R^{-1}||_2 for the Cholesky
-factor G = R^H R; it does not depend on the basis.  The inversion formula
-is certified when norm2 < 1 (the Neumann series of (I - M)^{-1} converges).
+G1 = conj(G2).  The inversion context reads Hd(G1) from conj(b), computed
+to index N + 2n by the forward recursion, so repeated roots cost no
+digits.  ``hankel_half`` builds V for a stack of factor pairs that have no
+series, from a power of the companion matrix of ga (log N squarings); the
+determinant scan of ``spectra`` takes M = V V from it with equal factors.
 
 Entries.  With the state sigma_l = (d[N+1-l+i] - (V r_l)_i) / s,
 r_l = (b[l+1], ..., b[l+n]), and p = L(G1) (I - M)^{-1} sigma_l,
@@ -46,12 +39,15 @@ The first sum is the product of the triangular inverses of the two factor
 sections; the second has rank at most n.  The formula is evaluated a whole
 column at a time, by linearity in l, with both triangular inverses applied
 as banded recursions (``series_quotient``), at O(N n) per column; an entry
-is read from its column.  Where M is not small (norm2 near 1, clustered
-roots) the state basis is ill-conditioned and the formula alone can lose
-digits far beyond the section's own condition number.  A column whose
-relative residual against the banded section of the factor product exceeds
-RESIDUAL_TOL is refined, at most MAX_REFINEMENT_STEPS times, until it does
-not.
+is read from its column.  Where M is not small (clustered roots, roots
+near the circle) the state basis is ill-conditioned and the formula alone
+can lose digits far beyond the section's own condition number.
+
+Certification.  (I - M) is solved by LU, so no Neumann series enters; a
+column is certified by its own relative residual against the banded
+section of the factor product.  It is refined, at most MAX_REFINEMENT_STEPS
+times, until that residual is at most RESIDUAL_TOL, and RefinementFailure,
+with the final residual, is raised where it is not.
 
 Contexts hold the series and the small matrices of one (factorization, N)
 pair.  A point query makes several calls with the same pair, so contexts are
@@ -69,11 +65,11 @@ import numpy as np
 import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NeumannCondition, SmallSystemSingular
+from .errors import RefinementFailure, SmallSystemSingular
 from .symbol_core import (SpectralFactorization, inverse_series,
                           series_quotient)
 
-# Near norm2 = 1 the formula alone was off by 4e-4 of the max-norm, relative
+# Near rho(M) = 1 the formula alone was off by 4e-4 of the max-norm, relative
 # residual 9e-5 (roots 0.75 (double), 0.8125, 0.84375, 0.5, 0.875, N = 6,
 # against mpmath); each refinement step gains about two digits there.  Where
 # it is sound its residual stays below 1e-12 (8e-13 on close roots at
@@ -85,15 +81,32 @@ MAX_REFINEMENT_STEPS = 10
 
 @dataclass(frozen=True, eq=False)
 class HankelProductMatrix:
-    """Matrix of the composed Hankel maps on the state basis of E."""
+    """Matrix of the composed Hankel maps on the state basis of E.
+
+    ``norm2`` is the spectral radius of M (the Neumann condition) and its
+    operator norm on E: for a real symbol |Phi_N| = |s| on the circle, so
+    Phitilde = 1/Phi_N = conj(Phi_N) / |s|^2, M represents the positive
+    self-adjoint H_Phi^* H_Phi / |s|^2 on E, and its norm in the (Stein
+    Gram) inner product of E is its largest eigenvalue, <= 1.
+    """
 
     entries: np.ndarray        # n x n, read-only
     N: int
-    norm2: float               # operator norm in the Gram inner product
+    norm2: float               # spectral radius = operator norm on E
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def _hd_l(far: np.ndarray, gb: np.ndarray) -> np.ndarray:
+    """Hd L(gb) from far = (d[N+2], ..., d[N+2r]) of the series d of 1/ga.
+
+    Leading axes of ``far`` (..., 2r-1) and ``gb`` (..., r+1) are a stack;
+    Hd[i, e] = far[i+e] and L(gb)[e, j] = gb[e-j] for i, e, j < r.
+    """
+    i = np.arange(gb.shape[-1] - 1)
+    return far[..., i[:, None] + i] @ np.tril(gb[..., abs(i[:, None] - i)])
 
 
 def hankel_half(ga: np.ndarray, gb: np.ndarray, N: int) -> np.ndarray:
@@ -115,12 +128,11 @@ def hankel_half(ga: np.ndarray, gb: np.ndarray, N: int) -> np.ndarray:
     far[:, :r] = np.linalg.matrix_power(C, N + r + 1)[..., -1]
     for k in range(r, 2 * r - 1):              # the last row of C steps d
         far[:, k] = np.einsum("sj,sj->s", C[:, -1], far[:, k - r:k])
-    i = np.arange(r)                           # L(gb)[e, j] = gb[e - j]
-    return far[:, i[:, None] + i] @ np.tril(gb[:, abs(i[:, None] - i)])
+    return _hd_l(far, gb)
 
 
 class _InversionContext:
-    """Series, product matrix, Gram norm and LU of one (factorization, N)."""
+    """Series, product matrix and LU of one (factorization, N)."""
 
     def __init__(self, factor: SpectralFactorization, N: int):
         self.N = N
@@ -128,25 +140,12 @@ class _InversionContext:
         self.g = factor.g                          # G2
         self.gbar = self.g.conj()                  # G1
         self.n = self.g.size - 1
-        self.b = inverse_series(self.g, N + self.n + 1)
-        self.V = hankel_half(self.gbar[None], self.g[None], N)[0]
+        self.b = inverse_series(self.g, N + 2 * self.n + 1)
+        self.V = _hd_l(self.b[N + 2:].conj(), self.g)   # d = conj(b)
         self.M = self.V @ self.V.conj()
         self.M.setflags(write=False)
         # hat(f)(-n..n) of the factor product, for the refinement residual
         self.fhat = self.scale * np.convolve(self.gbar, self.g[::-1])
-
-    @cached_property
-    def norm2(self) -> float:
-        n = self.n
-        if n == 0:
-            return 0.0
-        A = np.eye(n, k=1, dtype=complex)
-        A[-1] = -self.gbar[:0:-1]
-        e0 = np.zeros((n, n))
-        e0[0, 0] = 1.0
-        G = scipy.linalg.solve_discrete_lyapunov(A.conj().T, e0)
-        R = scipy.linalg.cholesky(0.5 * (G + G.conj().T))
-        return float(np.linalg.norm(R @ self.M @ np.linalg.inv(R), 2))
 
     @cached_property
     def lu(self):
@@ -155,11 +154,6 @@ class _InversionContext:
         if pivot <= 1e-14:
             raise SmallSystemSingular(f"correction system pivot {pivot:.3e}")
         return lu
-
-    def check_norm(self) -> None:
-        if self.norm2 >= 1.0:
-            raise NeumannCondition(
-                f"Hankel product norm {self.norm2:.3f} >= 1 at N={self.N}")
 
     def _apply(self, Q: np.ndarray) -> np.ndarray:
         """The correction formula for sum_l Q_l (column l), unrefined."""
@@ -180,17 +174,23 @@ class _InversionContext:
         return series_quotient(self.gbar, x)
 
     def solve(self, Q: np.ndarray) -> np.ndarray:
-        """T_N^{-1} Q, refined against the banded section of the product."""
+        """T_N^{-1} Q, certified by its residual or RefinementFailure."""
         x = self._apply(Q)
-        for _ in range(MAX_REFINEMENT_STEPS):
+        for step in range(MAX_REFINEMENT_STEPS + 1):
             residual = -np.convolve(self.fhat, x)[self.n:][: self.N + 1]
             residual[: Q.size] += Q
+            err = np.abs(residual).max()
             scale = np.abs(self.fhat).sum() * np.abs(x).max() \
                 + np.abs(Q).max(initial=0.0)
-            if np.abs(residual).max() <= RESIDUAL_TOL * scale:
-                break
-            x = x + self._apply(residual)
-        return x
+            if err <= RESIDUAL_TOL * scale:
+                return x
+            if step < MAX_REFINEMENT_STEPS:
+                x = x + self._apply(residual)
+        rel = float(err / scale)
+        raise RefinementFailure(
+            f"inverse column residual {rel:.3e} > {RESIDUAL_TOL:.0e} after "
+            f"{MAX_REFINEMENT_STEPS} refinement steps at N={self.N}",
+            residual=rel, tolerance=RESIDUAL_TOL, steps=MAX_REFINEMENT_STEPS)
 
 
 @lru_cache(maxsize=8)
@@ -199,9 +199,10 @@ def _cached_context(factor, N: int) -> _InversionContext:
 
 
 def hankel_product_matrix(factor, N: int) -> HankelProductMatrix:
-    """Matrix of H_Phitilde H_Phi on the state basis, with its Gram norm."""
-    ctx = _cached_context(factor, N)
-    return HankelProductMatrix(entries=ctx.M, N=N, norm2=ctx.norm2)
+    """Matrix of H_Phitilde H_Phi on the state basis, with its norm."""
+    M = _cached_context(factor, N).M
+    norm2 = float(np.abs(np.linalg.eigvals(M)).max(initial=0.0))
+    return HankelProductMatrix(entries=M, N=N, norm2=norm2)
 
 
 def invert_apply(factor, N: int, Q: np.ndarray) -> np.ndarray:
@@ -213,28 +214,25 @@ def invert_apply(factor, N: int, Q: np.ndarray) -> np.ndarray:
     N : section order (matrix size N+1)
     Q : ascending coefficients, degree <= N
 
-    Returns the degree-N coefficient vector of T_N^{-1}(f) Q.  Raises
-    NeumannCondition unless the certified contraction condition (norm < 1)
-    holds.
+    Returns the degree-N coefficient vector of T_N^{-1}(f) Q, whose relative
+    residual against the banded section of the factor product is at most
+    RESIDUAL_TOL.  Raises RefinementFailure, carrying the residual reached,
+    where refinement does not get there.
     """
     Q = np.asarray(Q, dtype=complex)
     if Q.size > N + 1:
         raise ValueError("polynomial degree exceeds the section order")
-    ctx = _cached_context(factor, N)
-    ctx.check_norm()
-    return ctx.solve(Q)
+    return _cached_context(factor, N).solve(Q)
 
 
 def inverse_entry(factor, N: int, k: int, l: int) -> complex:
     """Single entry (k, l), 0-based, of the inverse section.
 
-    Read from column l of the inverse, which costs O(N n).  Raises
-    NeumannCondition as ``invert_apply`` does.
+    Read from column l of the inverse, which costs O(N n) and is certified,
+    or raises RefinementFailure, as in ``invert_apply``.
     """
     if not (0 <= k <= N and 0 <= l <= N):
         raise ValueError("entry indices must lie in [0, N]")
-    ctx = _cached_context(factor, N)
-    ctx.check_norm()
     unit = np.zeros(l + 1, dtype=complex)
     unit[l] = 1.0
-    return complex(ctx.solve(unit)[k])
+    return complex(_cached_context(factor, N).solve(unit)[k])

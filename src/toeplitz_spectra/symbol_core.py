@@ -54,11 +54,12 @@ class TrigSymbol:
     ``coeffs[d + j]`` is the j-th Fourier coefficient c_j.  Construction
     enforces Hermitian symmetry (real symbol): f = c_0 + 2 Re sum_{j>=1} c_j
     z^j at z = e^{i theta}, evaluated by Horner in z, as is f'.  ``parity``
-    marks even symbols, whose coefficients are real and symmetric.
+    marks even symbols, whose coefficients are real and symmetric; it is
+    measured from the coefficients, not passed in.
     """
 
     coeffs: np.ndarray
-    parity: bool = False
+    parity: bool = field(init=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -198,15 +199,26 @@ def symbol_from_spec(spec: dict) -> TrigSymbol:
         vals = spec["cosine"]
         if not isinstance(vals, list) or not vals:
             raise ValueError('"cosine" must be a non-empty list of numbers')
-        return TrigSymbol.from_cosine([float(v) for v in vals])
+        return TrigSymbol.from_cosine(_entries("cosine", vals, float))
     if "coeffs" in spec:
         pairs = spec["coeffs"]
-        offset = int(spec.get("offset", -(len(pairs) - 1) // 2))
-        if len(pairs) % 2 != 1 or offset != -(len(pairs) // 2):
-            raise ValueError('"coeffs" must have odd length with offset -d')
-        c = np.array([complex(p[0], p[1]) for p in pairs])
-        return TrigSymbol(c)
+        n = len(pairs) if isinstance(pairs, list) else 0
+        if n % 2 != 1 or spec.get("offset", -(n // 2)) != -(n // 2):
+            raise ValueError('"coeffs" must be an odd-length list, offset -d')
+        return TrigSymbol(np.array(
+            _entries("coeffs", pairs, lambda p: complex(p[0], p[1]))))
     raise ValueError('symbol literal needs a "cosine" or "coeffs" key')
+
+
+def _entries(key: str, vals: list, convert: Callable) -> list:
+    """``convert`` of each entry, ValueError naming the first bad index."""
+    out = []
+    for j, v in enumerate(vals):
+        try:
+            out.append(convert(v))
+        except (TypeError, ValueError, LookupError) as exc:
+            raise ValueError(f'"{key}"[{j}] is malformed: {v!r}') from exc
+    return out
 
 
 # ---------------------------------------------------------------------------

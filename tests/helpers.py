@@ -10,6 +10,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
+from toeplitz_spectra.hankel_inversion import hankel_product_matrix
 from toeplitz_spectra.predictor import levinson
 from toeplitz_spectra.symbol_core import (RootSet, SpectralFactorization,
                                          TrigSymbol, inverse_series)
@@ -22,6 +23,13 @@ MULTIPLICITY_CASES = {
     2: ((0.7 + 0.2j, 2), (-0.4, 1), (0.3 - 0.6j, 1)),
     3: ((0.8, 3), (0.3j, 1)),
 }
+
+# inside roots of a real symbol near the unit circle (moduli 0.9991, 0.9909,
+# 0.9931); refinement of the inversion formula diverges at 476 of the orders
+# N <= 2000, at every N < 100 but one and at none above 649
+NEAR_CIRCLE_ROOTS = tuple(
+    z for a in (-0.7115641719 + 0.7012953674j, -0.9552121442 + 0.2636326469j,
+                -0.9923069295 + 0.0403574230j) for z in (a, a.conjugate()))
 
 
 def poly_from_factors(ws):
@@ -222,6 +230,36 @@ def mp_context_product(roots, N, dps=50):
                 V[i, j] = mpmath.fsum(d[N + 2 + i + e] * g[e - j]
                                       for e in range(j, n))
         return np.array((V * V.apply(mpmath.conj)).tolist(), dtype=complex)
+
+
+def gram_similar(fac, N):
+    """The context's M in an orthonormal basis of E: R M R^{-1}.
+
+    The squared norm of the element with state x is x^H G x, with the
+    Stein Gram matrix G = A^H G A + e0 e0^T for the companion matrix A of
+    G1 = conj(g), and G = R^H R is its Cholesky factorization.  For a real
+    symbol the result is Hermitian up to the rounding of M.
+    """
+    M = hankel_product_matrix(fac, N).entries
+    n = M.shape[0]
+    if n == 0:
+        return np.zeros((0, 0), dtype=complex)
+    A = np.eye(n, k=1, dtype=complex)
+    A[-1] = -fac.g.conj()[:0:-1]
+    e0 = np.zeros((n, n))
+    e0[0, 0] = 1.0
+    G = scipy.linalg.solve_discrete_lyapunov(A.conj().T, e0)
+    R = scipy.linalg.cholesky(0.5 * (G + G.conj().T))
+    return R @ M @ np.linalg.inv(R)
+
+
+def gram_norm(fac, N):
+    """Operator norm of the context's M in the inner product of E.
+
+    ||R M R^{-1}||_2 (``gram_similar``): the route that the spectral radius
+    of ``hankel_product_matrix`` replaced.
+    """
+    return float(np.linalg.norm(gram_similar(fac, N), 2))
 
 
 def largest_eigenvalues(P, r):

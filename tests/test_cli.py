@@ -5,7 +5,7 @@ import pytest
 
 from toeplitz_spectra.cli import run
 
-from helpers import symbol_from_inside_roots
+from helpers import NEAR_CIRCLE_ROOTS, symbol_from_inside_roots
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +41,19 @@ class TestUsageErrors:
                                "--N", "4")
         assert code == 1
         assert "non-finite symbol coefficients" in err and j in err
+
+    @pytest.mark.parametrize("literal, where", [
+        ('{"coeffs": [[1]]}', '"coeffs"[0]'),
+        ('{"coeffs": [1]}', '"coeffs"[0]'),
+        ('{"cosine": [2, null]}', '"cosine"[1]'),
+        ('{"cosine": [[1]]}', '"cosine"[0]'),
+        ('{"coeffs": [[1, 0]], "offset": null}', "offset -d"),
+    ])
+    def test_malformed_entry(self, capsys, literal, where):
+        code, _, err = run_cli(capsys, "eigen", "--symbol", literal,
+                               "--N", "4")
+        assert code == 1
+        assert "error" in err and where in err
 
     def test_invert_needs_mode(self, capsys):
         code, _, err = run_cli(capsys, "invert", "--symbol",
@@ -116,6 +129,21 @@ class TestInvert:
         assert code == 0
         assert len(out.strip().splitlines()) == N + 1
         assert json.loads(summary.read_text())["oracle_gap"] <= 1e-12
+
+    def test_refinement_failure_exit_2(self, capsys, tmp_path):
+        # a real positive symbol on which the inversion formula diverges:
+        # no entry is printed, and the diagnostics name the cause
+        sym = symbol_from_inside_roots(NEAR_CIRCLE_ROOTS)
+        literal = json.dumps({"coeffs": [[z.real, z.imag]
+                                         for z in sym.coeffs]})
+        summary = tmp_path / "s.json"
+        code, out, err = run_cli(capsys, "invert", "--symbol", literal,
+                                 "--N", "2", "--entry", "0,0",
+                                 "--json-summary", str(summary))
+        assert code == 2 and out == ""
+        diag = json.loads(summary.read_text())
+        assert diag["error"] == "RefinementFailure" and not diag["pass"]
+        assert "RefinementFailure" in err
 
     def test_column_matches_entry(self, capsys):
         code, out, _ = run_cli(capsys, "invert", "--symbol",

@@ -76,6 +76,11 @@ class TestTrigSymbol:
         with pytest.raises(ValueError):
             symbol_from_spec({"nope": 1})
 
+    def test_parity_is_measured_not_passed(self):
+        with pytest.raises(TypeError):
+            TrigSymbol(np.array([0.5j, 2.0, -0.5j]), parity=True)
+        assert not TrigSymbol(np.array([0.5j, 2.0, -0.5j])).parity
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             TrigSymbol(np.array([1.0, 0.0, 2.0]))
