@@ -39,9 +39,15 @@ The first sum is the product of the triangular inverses of the two factor
 sections; the second has rank at most n.  The formula is evaluated a whole
 column at a time, by linearity in l, with both triangular inverses applied
 as banded recursions (``series_quotient``), at O(N n) per column; an entry
-is read from its column.  Where M is not small (clustered roots, roots
-near the circle) the state basis is ill-conditioned and the formula alone
-can lose digits far beyond the section's own condition number.
+is read from its column.  Each recursion but the last, over the whole
+column, stops at a cut past the support of its right-hand side, where the
+majorant of the 1/g series (``series_cut`` of n and ``factor.rho``) falls
+below the smallest normal double.  It costs O(min(size, support + cut) n)
+and holds exact zeros past the cut instead of a subnormal tail.
+
+Where M is not small (clustered roots, roots near the circle) the state
+basis is ill-conditioned and the formula alone can lose digits far beyond
+the section's own condition number.
 
 Certification.  (I - M) is solved by LU, so no Neumann series enters; a
 column is certified by its own relative residual against the banded
@@ -67,7 +73,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import RefinementFailure, SmallSystemSingular
 from .symbol_core import (SpectralFactorization, inverse_series,
-                          series_quotient)
+                          series_cut, series_quotient)
 
 # Near rho(M) = 1 the formula alone was off by 4e-4 of the max-norm, relative
 # residual 9e-5 (roots 0.75 (double), 0.8125, 0.84375, 0.5, 0.875, N = 6,
@@ -140,7 +146,8 @@ class _InversionContext:
         self.g = factor.g                          # G2
         self.gbar = self.g.conj()                  # G1
         self.n = self.g.size - 1
-        self.b = inverse_series(self.g, N + 2 * self.n + 1)
+        self.cut = series_cut(self.n, factor.rho)
+        self.b = inverse_series(self.g, N + 2 * self.n + 1, self.cut)
         self.V = _hd_l(self.b[N + 2:].conj(), self.g)   # d = conj(b)
         self.M = self.V @ self.V.conj()
         self.M.setflags(write=False)
@@ -155,37 +162,42 @@ class _InversionContext:
             raise SmallSystemSingular(f"correction system pivot {pivot:.3e}")
         return lu
 
-    def _apply(self, Q: np.ndarray) -> np.ndarray:
-        """The correction formula for sum_l Q_l (column l), unrefined."""
-        N, m, n = self.N, Q.size, self.n
+    def _apply(self, q: np.ndarray, start: int, norm: float) -> np.ndarray:
+        """The correction formula for sum_l Q_l (column l), unrefined.
+
+        Q = z^start q, and ``norm`` bounds the 1-norm of q.
+        """
+        N, m, n = self.N, start + q.size, self.n
         # c[m-1+t] = sum_l Q_l b[l+t] for -m < t <= n: 1/G2 run backwards
-        c = series_quotient(self.g, np.concatenate([Q[::-1], np.zeros(n)]))
+        c = series_quotient(self.g, q[::-1], m + n, self.cut, norm)
         x = np.zeros(N + 1, dtype=complex)
         x[:m] = c[:m][::-1] / self.scale
         if n:
-            padded = np.zeros(N + 1 + n, dtype=complex)
-            padded[:m] = Q
-            head = series_quotient(self.gbar, padded)[N + 1:]
+            head = series_quotient(self.gbar, q, N + 1 + n - start, self.cut,
+                                   norm)[N + 1 - start:]
             sigma = (head - self.V @ c[m:]) / self.scale
             y = scipy.linalg.lu_solve(self.lu, sigma)
             p = np.convolve(self.gbar, y)[:n]        # L(G1) y
             # x_i -= sum_j p_j b[N+1+j-i]
             x -= sliding_window_view(self.b[1: N + 1 + n], n)[::-1] @ p
-        return series_quotient(self.gbar, x)
+        return series_quotient(self.gbar, x, N + 1, None)  # x fills the column
 
-    def solve(self, Q: np.ndarray) -> np.ndarray:
-        """T_N^{-1} Q, certified by its residual or RefinementFailure."""
-        x = self._apply(Q)
+    def solve(self, q: np.ndarray, start: int = 0) -> np.ndarray:
+        """T_N^{-1} Q for Q = z^start q, certified by its residual.
+
+        Raises RefinementFailure where refinement does not reach it.
+        """
+        q_max = np.abs(q).max(initial=0.0)
+        x = self._apply(q, start, q.size * q_max)
         for step in range(MAX_REFINEMENT_STEPS + 1):
             residual = -np.convolve(self.fhat, x)[self.n:][: self.N + 1]
-            residual[: Q.size] += Q
+            residual[start: start + q.size] += q
             err = np.abs(residual).max()
-            scale = np.abs(self.fhat).sum() * np.abs(x).max() \
-                + np.abs(Q).max(initial=0.0)
+            scale = np.abs(self.fhat).sum() * np.abs(x).max() + q_max
             if err <= RESIDUAL_TOL * scale:
                 return x
             if step < MAX_REFINEMENT_STEPS:
-                x = x + self._apply(residual)
+                x = x + self._apply(residual, 0, residual.size * err)
         rel = float(err / scale)
         raise RefinementFailure(
             f"inverse column residual {rel:.3e} > {RESIDUAL_TOL:.0e} after "
@@ -233,6 +245,4 @@ def inverse_entry(factor, N: int, k: int, l: int) -> complex:
     """
     if not (0 <= k <= N and 0 <= l <= N):
         raise ValueError("entry indices must lie in [0, N]")
-    unit = np.zeros(l + 1, dtype=complex)
-    unit[l] = 1.0
-    return complex(_cached_context(factor, N).solve(unit)[k])
+    return complex(_cached_context(factor, N).solve(np.ones(1), l)[k])

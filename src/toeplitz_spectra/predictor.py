@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NotPositiveDefinite, PredictorRootOnCircle
-from .symbol_core import TrigSymbol, inverse_series
+from .symbol_core import TrigSymbol, inverse_series, series_cut
 
 log = logging.getLogger("toeplitz_spectra")
 
@@ -148,8 +148,10 @@ def g_inverse_coeffs(factor, count: int) -> np.ndarray:
 
     Built from a spectral factorization of a positive symbol: g is the
     square root of the scale times g1 / phase, whose coefficients are
-    conj(factor.g).
+    conj(factor.g), with the roots' largest modulus ``factor.rho``.
     """
     if factor.scale <= 0:
         raise ValueError("analytic factor needs a positive scale")
-    return inverse_series(factor.g.conj(), count) / np.sqrt(factor.scale)
+    g = factor.g.conj()
+    return inverse_series(g, count, series_cut(g.size - 1, factor.rho)) \
+        / np.sqrt(factor.scale)

@@ -8,12 +8,13 @@ linear algebra), so the two sides never share a bug.
 import mpmath
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 from scipy.optimize import linear_sum_assignment
 
 from toeplitz_spectra.hankel_inversion import hankel_product_matrix
 from toeplitz_spectra.predictor import levinson
 from toeplitz_spectra.symbol_core import (RootSet, SpectralFactorization,
-                                         TrigSymbol, inverse_series)
+                                         TrigSymbol)
 
 RANGE_GRID = 4096
 
@@ -164,11 +165,29 @@ def closed_form_characteristic_matrix(omegas, N):
     return V @ V
 
 
+def full_series_quotient(g, y, size):
+    """First ``size`` coefficients of y / g by one ``tbsv`` over all of them.
+
+    The recursion of ``symbol_core.series_quotient`` without its cut: every
+    coefficient is computed, subnormal tails included.
+    """
+    x = np.zeros(size, dtype=complex)
+    x[:len(y)] = y
+    band = np.repeat(np.asarray(g, dtype=complex)[:, None], size, axis=1)
+    return scipy.linalg.blas.ztbsv(len(g) - 1, band, x, lower=1)
+
+
+def subnormal_parts(a):
+    """Number of real and imaginary parts of ``a`` that are subnormal."""
+    parts = np.abs(np.asarray(a).view(float))
+    return int(np.count_nonzero((parts > 0) & (parts < np.finfo(float).tiny)))
+
+
 def recursion_hankel_halves(plus, minus, N):
     """Hd L(G2) and Hb L(G1) from the full 1/G1 and 1/G2 series.
 
     ``plus`` and ``minus`` are (pole, multiplicity) tuples of G1 and G2.
-    Both series come from the forward recursion (``inverse_series``) up to
+    Both series come from the uncut forward recursion up to
     index N + n1 + n2 + 2, Hd[i, e-1] = d[N+1+e+i] and Hb[e-1, j] =
     b[N+1+j+e] are read off by index, and L(G) is the dense lower
     triangular Toeplitz matrix; M is the product of the two halves.  The
@@ -177,8 +196,8 @@ def recursion_hankel_halves(plus, minus, N):
     g1 = poly_from_factors([w for w, s in plus for _ in range(s)])
     g2 = poly_from_factors([q for q, s in minus for _ in range(s)])
     n1, n2 = g1.size - 1, g2.size - 1
-    d = inverse_series(g1, N + n1 + n2 + 3)
-    b = inverse_series(g2, N + n1 + n2 + 3)
+    d = full_series_quotient(g1, [1.0], N + n1 + n2 + 3)
+    b = full_series_quotient(g2, [1.0], N + n1 + n2 + 3)
     i, e = np.arange(n1), np.arange(1, n2 + 1)
     L1 = scipy.linalg.toeplitz(g1[:n1], np.zeros(n1))
     L2 = scipy.linalg.toeplitz(g2[:n2], np.zeros(n2))

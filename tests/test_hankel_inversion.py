@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
+from toeplitz_spectra import hankel_inversion
 from toeplitz_spectra.errors import RefinementFailure
 from toeplitz_spectra.hankel_inversion import (
     MAX_REFINEMENT_STEPS,
@@ -24,12 +25,14 @@ from helpers import (
     NEAR_CIRCLE_ROOTS,
     brute_hankel_product,
     factorization_from_roots,
+    full_series_quotient,
     gram_norm,
     gram_similar,
     largest_eigenvalues,
     mp_context_product,
     mp_inverse_series,
     recursion_hankel_halves,
+    subnormal_parts,
     symbol_from_inside_roots,
 )
 
@@ -339,6 +342,37 @@ class TestInverseEntry:
             assert info.value.residual > RESIDUAL_TOL
             assert info.value.tolerance == RESIDUAL_TOL
             assert info.value.steps == MAX_REFINEMENT_STEPS
+
+
+class TestSeriesCut:
+    # inside roots whose 1/g series falls below the smallest normal double
+    # near index 1 020, well inside N = 4096
+    ROOTS = ((0.3, 1), (0.5j, 1), (-0.4, 1))
+    N = 4096
+
+    def test_context_series_has_no_subnormals(self):
+        b = _cached_context(factorization_from_roots(self.ROOTS), self.N).b
+        full = full_series_quotient(factor_poly([0.3, 0.5j, -0.4]), [1.0],
+                                    b.size)
+        assert subnormal_parts(full) == 106 and subnormal_parts(b) == 0
+
+    def test_entries_match_uncut_route(self, monkeypatch):
+        fac, N = factorization_from_roots(self.ROOTS), self.N
+        points = [(N, N), (N // 2, N // 2)]
+        got = [inverse_entry(fac, N, k, l) for k, l in points]
+        monkeypatch.setattr(
+            hankel_inversion, "series_quotient",
+            lambda g, y, size, cut, norm=1.0: full_series_quotient(g, y, size))
+        monkeypatch.setattr(
+            hankel_inversion, "inverse_series",
+            lambda g, count, cut: full_series_quotient(g, [1.0], count))
+        _cached_context.cache_clear()
+        try:
+            want = [inverse_entry(fac, N, k, l) for k, l in points]
+            assert subnormal_parts(_cached_context(fac, N).b) == 106
+        finally:
+            _cached_context.cache_clear()
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestStateSpaceForm:

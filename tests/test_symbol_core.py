@@ -9,18 +9,22 @@ from toeplitz_spectra.errors import (
 )
 from toeplitz_spectra.symbol_core import (
     RECON_TOL,
+    TINY,
     TrigSymbol,
     cepstral_factor,
     factor_poly,
     fourier_coeffs,
+    inverse_series,
     laurent_roots,
     partial_fractions,
+    series_cut,
+    series_quotient,
     symbol_from_spec,
     wiener_hopf_factor,
 )
 
-from helpers import (exp_sum_symbol, poly_from_factors,
-                     symbol_from_inside_roots)
+from helpers import (exp_sum_symbol, full_series_quotient, poly_from_factors,
+                     subnormal_parts, symbol_from_inside_roots)
 
 EPS = np.finfo(float).eps
 
@@ -292,6 +296,78 @@ class TestFactorPoly:
         prod = (fac.scale * fac.phase * P.polyval(chi, np.conj(fac.g))
                 * P.polyval(np.conj(chi), fac.g))
         assert np.max(np.abs(prod - sym(np.angle(chi)))) <= 1e-12
+
+
+def assert_cut(got, want):
+    """Each coefficient is ``want``'s bit for bit, or a zero where
+    |want| < TINY."""
+    same = got.view(float).reshape(-1, 2) == want.view(float).reshape(-1, 2)
+    assert np.all(same.all(axis=1) | ((got == 0) & (np.abs(want) < TINY)))
+
+
+class TestSeriesQuotient:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_cut_against_full_recursion(self, data):
+        # degree 0-6 (rho = 0 at degree 0), moduli 0.05-0.99, multiplicity
+        # <= 3; every coefficient is the uncut one bit for bit, or an exact
+        # zero where the uncut one is below TINY
+        degree, roots = data.draw(st.integers(0, 6)), []
+        while len(roots) < degree:
+            a = data.draw(st.floats(0.05, 0.99)) * np.exp(
+                1j * data.draw(st.floats(0.0, 2 * np.pi)))
+            roots += [a] * data.draw(st.integers(1, 3))
+        roots = roots[:degree]
+        g = factor_poly(roots)
+        rho = max(np.abs(roots), default=0.0)
+        size = data.draw(st.integers(1, 20000))
+        support = data.draw(st.integers(1, size))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        y = rng.standard_normal(support) + 1j * rng.standard_normal(support)
+        if data.draw(st.booleans()):
+            y[:-1] = 0.0                    # a unit-like right-hand side
+        norm = 10.0 ** data.draw(st.floats(-20.0, 6.0))
+        y *= norm / np.abs(y).sum()
+        assert_cut(series_quotient(g, y, size, series_cut(g.size - 1, rho),
+                                   norm), full_series_quotient(g, y, size))
+
+    @pytest.mark.parametrize("roots, norm", [
+        # n = 1, where the majorant is the series: the cut needs its
+        # log(norm) / -log_rate extra terms
+        ([0.6], 1e6),
+        # a 6-fold root, moved by rounding: without the margin the series
+        # past the cut reaches 5.6 TINY
+        ([0.005062006441589562 + 0.7443792978540563j] * 6, 1.0)])
+    def test_cut_on_tight_majorants(self, roots, norm):
+        g = factor_poly(roots)
+        y = np.array([0.0, 0.0, norm])
+        got = series_quotient(g, y, 6000,
+                              series_cut(len(roots), max(np.abs(roots))), norm)
+        assert_cut(got, full_series_quotient(g, y, 6000))
+        assert got[-1] == 0
+
+    def test_cut_reached(self):
+        # roots 0.3, 0.5i, -0.4: the cut lies past the index where the series
+        # falls below TINY, a few dozen terms before 1 100
+        g = factor_poly([0.3, 0.5j, -0.4])
+        reach, log_rate = series_cut(3, 0.5)
+        assert 1000 < reach < 1100 and -0.7 < log_rate < -0.65
+        y = np.ones(5)
+        got = series_quotient(g, y, 4000, (reach, log_rate), 5.0)
+        assert np.all(got[reach + 7:] == 0) and np.all(got[:reach] != 0)
+        assert series_cut(0, 0.0) == (1, -np.inf)
+        assert series_cut(6, 0.995) is None        # margin 0.013
+        assert np.array_equal(series_quotient(g, y, 4000, None),
+                              full_series_quotient(g, y, 4000))
+
+    def test_inverse_series_has_no_subnormals(self):
+        # the full recursion holds 2 615 subnormal terms here
+        g = factor_poly([0.6])
+        want = full_series_quotient(g, [1.0], 4002)
+        got = inverse_series(g, 4002, series_cut(1, 0.6))
+        assert subnormal_parts(want) == 2615 and subnormal_parts(got) == 0
+        big = np.abs(want) >= TINY
+        assert np.array_equal(got[big], want[big]) and not got[~big].any()
 
 
 class TestPartialFractions:
