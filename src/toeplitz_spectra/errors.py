@@ -90,7 +90,14 @@ class MissedRoots(ToeplitzSpectraError):
 
 
 class NotPositiveDefinite(ToeplitzSpectraError):
-    """Autocovariance sequence is not positive definite (|kappa| >= 1)."""
+    """A symbol or its Toeplitz section is not positive definite.
+
+    ``order`` is the first order N whose section T_N fails the Cholesky
+    factorization (leading minor N + 1 not positive); it is None when the
+    symbol already fails the positivity test on its grid.
+    """
+
+    order = None
 
 
 class PredictorRootOnCircle(ToeplitzSpectraError):

@@ -146,7 +146,8 @@ class _InversionContext:
         self.g = factor.g                          # G2
         self.gbar = self.g.conj()                  # G1
         self.n = self.g.size - 1
-        self.cut = series_cut(self.n, factor.rho)
+        # b is the longest series the context computes
+        self.cut = series_cut(self.n, factor.rho, N + 2 * self.n + 1)
         self.b = inverse_series(self.g, N + 2 * self.n + 1, self.cut)
         self.V = _hd_l(self.b[N + 2:].conj(), self.g)   # d = conj(b)
         self.M = self.V @ self.V.conj()

@@ -1,9 +1,15 @@
 """Predictor polynomials of positive symbols and their large-order limits.
 
 The degree-M predictor of a positive symbol h is the polynomial with
-coefficients beta_u = (T_M^{-1}(h))_{u+1,1} / sqrt((T_M^{-1}(h))_{1,1});
-it is computed here by the Levinson-Durbin recursion on the autocovariances
-hat(h)(0..M).  Its two classical properties are exposed as checks:
+coefficients beta_u = (T_M^{-1}(h))_{u+1,1} / sqrt((T_M^{-1}(h))_{1,1}).
+It is read from one banded Cholesky factorization T_M = L L^H of the
+Hermitian section, bandwidth w = min(deg h, M), and one solve against
+e_0: O(M w^2) work in LAPACK (Golub & Van Loan, Matrix Computations,
+sec. 4.3).  The factorization is also the positive-definiteness
+certificate: it fails at the first leading minor that is not positive,
+which by Sylvester's criterion is the order where the Levinson-Durbin
+recursion would meet a reflection coefficient of modulus one.  Its two
+classical properties are exposed as checks:
 
   * the moment identity hat(h)(s) = (1/|P_M|^2)^hat(s) for |s| <= M,
   * the coefficient limit beta_{k,N} -> conj(b_0) b_k as N grows, where
@@ -18,9 +24,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg.lapack
 
 from .errors import NotPositiveDefinite, PredictorRootOnCircle
 from .symbol_core import TrigSymbol, inverse_series, series_cut
+from .toeplitz_core import build
 
 log = logging.getLogger("toeplitz_spectra")
 
@@ -48,34 +56,26 @@ class PredictorPoly:
 def levinson(h: TrigSymbol, M: int) -> PredictorPoly:
     """Degree-M predictor polynomial of a positive symbol.
 
-    Runs the Levinson-Durbin recursion on hat(h)(0..M) (zero beyond the
-    stored degree, which is exact for trigonometric polynomials).  Raises
-    NotPositiveDefinite when a reflection coefficient reaches modulus one.
+    Factors the section T_M = L L^H from its lower band (LAPACK ``pbtrf``,
+    which ``scipy.linalg.cholesky_banded`` wraps; called directly for its
+    failing order) and solves T_M x = e_0 (``pbtrs``), so beta =
+    x / sqrt(x_0) costs O(M w^2) with w = min(deg h, M).  Raises
+    NotPositiveDefinite, with the failing ``order``, when h is not positive
+    on a 1024-point grid or a leading section is not positive definite.
     """
     grid = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
     if np.min(h(grid)) <= 0:
         raise NotPositiveDefinite("symbol is not positive on the test grid")
-    upto = max(M, h.degree)
-    r = h.padded(upto)[upto: upto + M + 1]
-    a = np.zeros(M + 1, dtype=complex)
-    a[0] = 1.0
-    E = float(r[0].real)
-    if E <= 0:
-        raise NotPositiveDefinite("hat(h)(0) must be positive")
-    for m in range(1, M + 1):
-        acc = r[m] + np.dot(a[1:m], r[m - 1: 0: -1])
-        kappa = -acc / E
-        if abs(kappa) >= 1.0:
-            raise NotPositiveDefinite(
-                f"reflection coefficient |kappa|={abs(kappa):.6f} at order {m}")
-        a_new = a.copy()
-        a_new[m] = kappa
-        if m > 1:
-            a_new[1:m] = a[1:m] + kappa * np.conj(a[m - 1: 0: -1])
-        a = a_new
-        E *= 1.0 - abs(kappa) ** 2
-    beta = a / np.sqrt(E)
-    return PredictorPoly(degree=M, beta=beta)
+    chol, info = scipy.linalg.lapack.zpbtrf(build(h, M).lower_band(),
+                                            lower=1, overwrite_ab=1)
+    if info > 0:
+        raise NotPositiveDefinite(
+            f"section of order {info - 1} is not positive definite "
+            f"(leading minor {info})", order=info - 1)
+    e0 = np.zeros((M + 1, 1), dtype=complex)
+    e0[0] = 1.0
+    x = scipy.linalg.lapack.zpbtrs(chol, e0, lower=1, overwrite_b=1)[0][:, 0]
+    return PredictorPoly(degree=M, beta=x / np.sqrt(x[0].real))
 
 
 def property1_check(h: TrigSymbol, M: int) -> float:
@@ -153,5 +153,5 @@ def g_inverse_coeffs(factor, count: int) -> np.ndarray:
     if factor.scale <= 0:
         raise ValueError("analytic factor needs a positive scale")
     g = factor.g.conj()
-    return inverse_series(g, count, series_cut(g.size - 1, factor.rho)) \
-        / np.sqrt(factor.scale)
+    cut = series_cut(g.size - 1, factor.rho, count)
+    return inverse_series(g, count, cut) / np.sqrt(factor.scale)

@@ -456,7 +456,8 @@ def factor_poly(roots) -> np.ndarray:
     return g
 
 
-def series_cut(n: int, rho: float) -> Optional[tuple[int, float]]:
+def series_cut(n: int, rho: float, size: Optional[int] = None
+               ) -> Optional[tuple[int, float]]:
     """Where the series of y / g falls below the smallest normal double.
 
     For g = prod_{j < n} (1 - a_j z) with every |a_j| <= rho, the series of
@@ -466,7 +467,9 @@ def series_cut(n: int, rho: float) -> Optional[tuple[int, float]]:
     most 1.33 times that on n-fold roots of modulus 0.5-0.99, n <= 10,
     against mpmath).  Returns (reach, log_rate): B(t) < TINY for every
     t >= reach, and past reach B(t+1) / B(t) <= exp(log_rate) < 1.  None
-    where r >= 1: no cut.
+    where r >= 1: no cut.  None also where no series of at most ``size``
+    terms reaches the cut: B(t) >= r^t, so reach > log(TINY) / log r, and
+    ``series_quotient`` computes such a series whole either way.
     """
     if n == 0:
         return 1, -math.inf
@@ -474,6 +477,8 @@ def series_cut(n: int, rho: float) -> Optional[tuple[int, float]]:
     if r >= 1.0:
         return None
     log_r, log_tiny = math.log(r), math.log(TINY)
+    if size is not None and size <= log_tiny / log_r:
+        return None
 
     def log_binom(t):
         return math.lgamma(t + n) - math.lgamma(t + 1) - math.lgamma(n)
@@ -587,7 +592,7 @@ class SpectralFactorization:
     def n0(self) -> int:
         return self.roots.n_inside
 
-    @property
+    @cached_property
     def rho(self) -> float:
         return max((abs(a) for a, _ in self.roots.inside), default=0.0)
 

@@ -51,6 +51,17 @@ class ToeplitzMatrix:
         row = c[N::-1]        # hat(0..-N)
         return scipy.linalg.toeplitz(col, row)
 
+    def lower_band(self) -> np.ndarray:
+        """The lower band of the section in LAPACK band storage.
+
+        A (w+1) x (N+1) array, w = ``bandwidth``: row i holds the i-th
+        subdiagonal hat(f)(i), and its last i entries are never read.  It
+        is Fortran ordered, as ``pbtrf`` takes it without a copy.
+        """
+        N = self.order
+        sub = self.coeffs[None, N: N + self.bandwidth + 1]
+        return np.repeat(sub, N + 1, axis=0).T
+
 
 def build(sym: TrigSymbol, N: int) -> ToeplitzMatrix:
     """Toeplitz section of order N (matrix size N+1) of a symbol."""

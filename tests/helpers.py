@@ -11,6 +11,7 @@ import scipy.linalg
 import scipy.linalg.blas
 from scipy.optimize import linear_sum_assignment
 
+from toeplitz_spectra.errors import NotPositiveDefinite
 from toeplitz_spectra.hankel_inversion import hankel_product_matrix
 from toeplitz_spectra.predictor import levinson
 from toeplitz_spectra.symbol_core import (RootSet, SpectralFactorization,
@@ -229,6 +230,26 @@ def mp_inverse_series(roots, count, dps=50):
             b.append(-mpmath.fsum(g[j] * b[k - j]
                                   for j in range(1, min(k, len(g) - 1) + 1)))
         return b
+
+
+def mp_predictor(h, M, dps=40):
+    """The degree-M predictor's beta in ``dps``-digit mpmath.
+
+    The Levinson-Durbin recursion run on the double coefficients
+    hat(h)(0..M), read exactly, so only the rounding of the double routes
+    separates them from this; returned as complex doubles.
+    """
+    upto = max(M, h.degree)
+    r = h.padded(upto)[upto: upto + M + 1]
+    with mpmath.workdps(dps):
+        r = [mpmath.mpc(complex(z)) for z in r]
+        a, E = [mpmath.mpc(1)], r[0].real
+        for m in range(1, M + 1):
+            kappa = -mpmath.fsum(a[j] * r[m - j] for j in range(m)) / E
+            a = [a[0]] + [a[j] + kappa * mpmath.conj(a[m - j])
+                          for j in range(1, m)] + [kappa]
+            E *= 1 - abs(kappa) ** 2
+        return np.array([complex(x / mpmath.sqrt(E)) for x in a])
 
 
 def mp_context_product(roots, N, dps=50):
@@ -482,6 +503,36 @@ def grid_minimizer(sym, n_grid=8192):
         center += float(np.clip(0.5 * h * (fm - fp) / denom, -h, h))
         h *= 0.5
     return center % (2 * np.pi)
+
+
+def levinson_loop(h, M):
+    """``predictor.levinson``'s beta by the Levinson-Durbin recursion.
+
+    The scalar loop over the orders 1..M on hat(h)(0..M) (Levinson 1947)
+    that the banded Cholesky solve replaced.  Raises NotPositiveDefinite,
+    with the ``order``, when a reflection coefficient reaches modulus one.
+    """
+    upto = max(M, h.degree)
+    r = h.padded(upto)[upto: upto + M + 1]
+    a = np.zeros(M + 1, dtype=complex)
+    a[0] = 1.0
+    E = float(r[0].real)
+    if E <= 0:
+        raise NotPositiveDefinite("hat(h)(0) must be positive", order=0)
+    for m in range(1, M + 1):
+        acc = r[m] + np.dot(a[1:m], r[m - 1: 0: -1])
+        kappa = -acc / E
+        if abs(kappa) >= 1.0:
+            raise NotPositiveDefinite(
+                f"reflection coefficient |kappa|={abs(kappa):.6f} at order "
+                f"{m}", order=m)
+        a_new = a.copy()
+        a_new[m] = kappa
+        if m > 1:
+            a_new[1:m] = a[1:m] + kappa * np.conj(a[m - 1: 0: -1])
+        a = a_new
+        E *= 1.0 - abs(kappa) ** 2
+    return a / np.sqrt(E)
 
 
 def moment_residual_loop(h, M):

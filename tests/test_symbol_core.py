@@ -360,6 +360,20 @@ class TestSeriesQuotient:
         assert np.array_equal(series_quotient(g, y, 4000, None),
                               full_series_quotient(g, y, 4000))
 
+    def test_cut_skipped_below_its_lower_bound(self):
+        # reach > log(TINY) / log r = 1 022.1 for n = 3, rho = 0.5: a series
+        # of at most that many terms needs no cut, and gets none
+        g = factor_poly([0.3, 0.5j, -0.4])
+        bound = np.log(TINY) / np.log(0.5 + 4.0 * (3 * EPS) ** (1 / 3))
+        assert series_cut(3, 0.5, 1022) is None and 1022 <= bound < 1023
+        assert series_cut(3, 0.5, 1023) == series_cut(3, 0.5) \
+            == series_cut(3, 0.5, 10 ** 6)
+        y = np.ones(5)
+        for size in (1022, 1030):
+            assert np.array_equal(
+                series_quotient(g, y, size, series_cut(3, 0.5, size), 5.0),
+                series_quotient(g, y, size, series_cut(3, 0.5), 5.0))
+
     def test_inverse_series_has_no_subnormals(self):
         # the full recursion holds 2 615 subnormal terms here
         g = factor_poly([0.6])

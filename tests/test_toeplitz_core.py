@@ -47,6 +47,20 @@ class TestBuild:
         assert np.array_equal(D, D.conj().T)
 
 
+    @pytest.mark.parametrize("roots, N", [
+        ([0.4 + 0.2j, -0.3j, 0.5], 7),         # complex, deg 3 < N
+        ([0.4 + 0.2j, 0.4 - 0.2j], 0),         # real, deg 2 > N
+        ([0.6, 0.2 + 0.1j, -0.5, 0.3j], 2)])   # complex, deg 4 > N
+    def test_lower_band(self, roots, N):
+        # LAPACK lower band storage: band[i, j] = T[i + j, j] where it exists
+        T = build(symbol_from_inside_roots(roots), N)
+        band, D = T.lower_band(), T.dense()
+        assert band.shape == (T.bandwidth + 1, N + 1)
+        assert band.flags.f_contiguous
+        for i in range(T.bandwidth + 1):
+            assert np.array_equal(band[i, :N + 1 - i], np.diagonal(D, -i))
+
+
 class TestDenseInvert:
     def test_two_by_two(self):
         T = build(TrigSymbol.from_cosine([1.25, -1.0]), 1)
